@@ -66,4 +66,13 @@ echo "==> causal explorer smoke run (critical path, attribution, DOT/flow stabil
 cargo run -q --release -p publishing-bench --bin explain -- --smoke --dot target/perf/causal.dot > /dev/null
 cargo run -q --release -p publishing-bench --bin bench_compare -- --explain perf/BENCH_1.json target/perf/BENCH_1.json
 
+echo "==> perfbench: own tests + one pinned run per workload (virtual results must match pins)"
+# perfbench exits 0 even when a run's virtual results miss their pins, so
+# the last output line (the JSON result) is checked here.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+for w in steady_sharded quorum_steady chaos_soak knee_ethernet; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1 |
+    python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); ok = r["correct"] is True and r["failed"] == 0; sys.exit(0 if ok else "perfbench: wrong result: " + json.dumps(r))'
+done
+
 echo "CI green."

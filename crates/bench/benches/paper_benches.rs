@@ -120,6 +120,12 @@ fn bench_substrate(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate");
     let data = vec![0xA5u8; LONG_BYTES];
     g.bench_function("crc32_1k", |b| b.iter(|| black_box(crc32(&data))));
+    // Late-run echo checkpoint deposits on the sharded tier are about
+    // this size, and every station that hears one checks it.
+    let deposit = vec![0xA5u8; 24 * 1024];
+    g.bench_function("crc32_24k", |b| {
+        b.iter(|| black_box(crc32(black_box(&deposit))))
+    });
     let msg = publishing_demos::message::Message {
         header: publishing_demos::message::MessageHeader {
             id: publishing_demos::ids::MessageId {

@@ -7,6 +7,7 @@
 
 use crate::crc::crc32;
 use core::fmt;
+use std::sync::Arc;
 
 /// A station attached to the LAN (a processing node's or recorder's
 /// network interface).
@@ -53,16 +54,27 @@ impl Destination {
 pub const HEADER_BYTES: usize = 18;
 
 /// A link-layer frame.
+///
+/// The FCS verdict is computed once, when the frame is built or damaged,
+/// and stored: every receiver of a broadcast reads the verdict instead of
+/// re-running the CRC over the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Transmitting station.
     pub src: StationId,
     /// Link-layer destination.
     pub dst: Destination,
-    /// Opaque transport payload.
-    pub payload: Vec<u8>,
+    /// Opaque transport payload, shared by every copy of the frame, so a
+    /// fan-out clone copies no bytes.
+    ///
+    /// Immutable after [`Frame::new`]: the only supported mutators are
+    /// [`Frame::corrupt_in_flight`] and [`Frame::invalidate_fcs`], which
+    /// keep the stored FCS verdict in step with the payload.
+    pub payload: Arc<[u8]>,
     /// Frame check sequence as carried on the wire.
     fcs: u32,
+    /// Whether `fcs` matches `payload`.
+    intact: bool,
 }
 
 impl Frame {
@@ -72,30 +84,48 @@ impl Frame {
         Frame {
             src,
             dst,
-            payload,
+            payload: payload.into(),
             fcs,
+            intact: true,
         }
     }
 
     /// Returns `true` if the carried FCS matches the payload.
     pub fn is_intact(&self) -> bool {
-        crc32(&self.payload) == self.fcs
+        debug_assert_eq!(
+            self.intact,
+            crc32(&self.payload) == self.fcs,
+            "stored FCS verdict is stale: the payload was changed outside \
+             corrupt_in_flight/invalidate_fcs"
+        );
+        self.intact
     }
 
-    /// Corrupts the frame in flight by flipping one payload bit.
+    /// Corrupts the frame in flight by flipping one payload bit. Only this
+    /// copy is damaged: the payload is copied before the flip, so clones
+    /// sharing it stay intact.
     pub fn corrupt_in_flight(&mut self) {
         if self.payload.is_empty() {
             // No payload bits to damage; damage the FCS itself.
             self.fcs = !self.fcs;
         } else {
-            self.payload[0] ^= 0x80;
+            let mut bytes = self.payload.to_vec();
+            bytes[0] ^= 0x80;
+            self.payload = bytes.into();
         }
+        self.recheck();
     }
 
     /// Complements the FCS — the token-ring recorder's §6.1.2 mechanism
     /// for invalidating a frame it failed to record.
     pub fn invalidate_fcs(&mut self) {
         self.fcs = !self.fcs;
+        self.recheck();
+    }
+
+    /// Recomputes the stored verdict after the payload or FCS changed.
+    fn recheck(&mut self) {
+        self.intact = crc32(&self.payload) == self.fcs;
     }
 
     /// Returns the frame's size on the wire, including header overhead.
@@ -126,6 +156,7 @@ mod tests {
     fn corruption_detected() {
         let mut f = frame(b"hello");
         f.corrupt_in_flight();
+        assert_eq!(&f.payload[..], b"\xE8ello");
         assert!(!f.is_intact());
     }
 
@@ -133,7 +164,43 @@ mod tests {
     fn corruption_of_empty_payload_detected() {
         let mut f = frame(b"");
         f.corrupt_in_flight();
+        assert!(f.payload.is_empty());
         assert!(!f.is_intact());
+    }
+
+    #[test]
+    fn corrupting_a_clone_leaves_its_siblings_intact() {
+        let original = frame(b"shared payload");
+        let sibling = original.clone();
+        let mut damaged = original.clone();
+        assert!(Arc::ptr_eq(&original.payload, &sibling.payload));
+        assert!(Arc::ptr_eq(&original.payload, &damaged.payload));
+        damaged.corrupt_in_flight();
+        assert!(!damaged.is_intact());
+        assert!(!Arc::ptr_eq(&damaged.payload, &original.payload));
+        assert_eq!(damaged.payload[0], b's' ^ 0x80);
+        for f in [&original, &sibling] {
+            assert!(f.is_intact());
+            assert_eq!(&f.payload[..], b"shared payload");
+        }
+    }
+
+    #[test]
+    fn equality_compares_addresses_payload_and_fcs() {
+        let f = frame(b"abc");
+        assert_eq!(f, frame(b"abc"));
+        assert_ne!(f, frame(b"abd"));
+        let mut other_src = frame(b"abc");
+        other_src.src = StationId(9);
+        assert_ne!(f, other_src);
+        let mut other_dst = frame(b"abc");
+        other_dst.dst = Destination::Broadcast;
+        assert_ne!(f, other_dst);
+        let mut bad_fcs = frame(b"abc");
+        bad_fcs.invalidate_fcs();
+        assert_ne!(f, bad_fcs);
+        bad_fcs.invalidate_fcs();
+        assert_eq!(f, bad_fcs);
     }
 
     #[test]
@@ -145,6 +212,15 @@ mod tests {
         // ring model relies on never happening accidentally).
         f.invalidate_fcs();
         assert!(f.is_intact());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stored FCS verdict is stale")]
+    fn replacing_the_payload_trips_the_debug_cross_check() {
+        let mut f = frame(b"data");
+        f.payload = Arc::from(&b"other"[..]);
+        f.is_intact();
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl TokenRing {
 
     /// Walks a frame around the ring from its source, producing deliveries
     /// and the strip time. Returns `(actions, strip_time)`.
-    fn circulate(&mut self, start: SimTime, frame: Frame) -> (Vec<LanAction>, SimTime) {
+    fn circulate(&mut self, start: SimTime, frame: &Frame) -> (Vec<LanAction>, SimTime) {
         let n = self.order.len();
         let src_idx = self.ring_index(frame.src).expect("sender attached");
         let serialization = self.cfg.frame_time(frame.wire_bytes());
@@ -81,7 +81,7 @@ impl TokenRing {
         // empty; publishing mode is on iff any recorder is required, and
         // the field fills once every required recorder has read the
         // frame (a recorder that *sent* it trivially has it).
-        let required = route_required(self.router.as_ref(), &frame, || self.recorders.clone());
+        let required = route_required(self.router.as_ref(), frame, || self.recorders.clone());
         let publishing = !required.is_empty();
         let mut captured: Vec<StationId> = required
             .iter()
@@ -235,7 +235,7 @@ impl TokenRing {
         self.token_at = idx;
         self.circulating = true;
         self.stats.busy.set_busy(now);
-        let (mut deliveries, strip) = self.circulate(start, frame.clone());
+        let (mut deliveries, strip) = self.circulate(start, &frame);
         out.append(&mut deliveries);
         out.push(LanAction::TxOutcome {
             at: strip,
