@@ -70,8 +70,11 @@ echo "==> perfbench: own tests + one pinned run per workload (virtual results mu
 # perfbench exits 0 even when a run's virtual results miss their pins, so
 # the last output line (the JSON result) is checked here.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
-for w in steady_sharded quorum_steady chaos_soak knee_ethernet; do
-  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1 |
+# Seeds 22 and 23 of chaos_soak pin oracle rejections (sharded schedule
+# 43, quorum 36 and 37), so they also gate the chaos target's rejection
+# path, which seed 1 never reaches.
+for run in steady_sharded:1 quorum_steady:1 chaos_soak:1 knee_ethernet:1 chaos_soak:22 chaos_soak:23; do
+  python3 perfbench/run.py --workload "${run%:*}" --seed "${run#*:}" --seconds 1 --trace 0 | tail -n 1 |
     python3 -c 'import json, sys; r = json.loads(sys.stdin.read()); ok = r["correct"] is True and r["failed"] == 0; sys.exit(0 if ok else "perfbench: wrong result: " + json.dumps(r))'
 done
 

@@ -26,7 +26,6 @@
 
 use publishing_chaos::{Medium, Topology};
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
 use publishing_workload::{canonical_shapes, find_knee, run_trial, SearchParams, WorkloadSpec};
 
 fn usage() -> ! {
@@ -47,14 +46,8 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
         publishing_chaos::schedule::generate(&publishing_chaos::ChaosConfig {
             seed: spec.seed.wrapping_add(u64::from(spec.users)),
             nodes: publishing_chaos::NODES,
-            shards: match topology {
-                Topology::Sharded => publishing_chaos::scenario::SHARDS,
-                _ => 0,
-            },
-            replicas: match topology {
-                Topology::Quorum => publishing_chaos::scenario::REPLICAS,
-                _ => 0,
-            },
+            shards: topology.width().0,
+            replicas: topology.width().1,
             procs: spec.generators() + spec.subjects,
             horizon_ms: spec.horizon_ms,
             max_faults: 3,
@@ -70,7 +63,7 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
     let w = t.report.workload.as_ref().expect("trial attaches stats");
     println!(
         "[{}] users={} offered={} delivered={} goodput={:.3} offered/s={:.1}",
-        topology_name(topology),
+        topology.name(),
         t.users,
         t.offered,
         t.delivered,
@@ -127,7 +120,7 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
             rows.push(format!(
                 "{{\"shape\":{},\"topology\":{},\"knee_users\":{},\"binding\":{},\"rejected_by\":[{}],\"trials\":{}}}",
                 json_str(name),
-                json_str(topology_name(topo)),
+                json_str(topo.name()),
                 knee.knee_users,
                 knee.binding
                     .as_deref()
@@ -182,7 +175,7 @@ fn sweep(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
             println!(
                 "{:<18} {:<8} {:>5} {:>7} {:>9} {:>10} {:>8.3} {:<14}",
                 name,
-                topology_name(topo),
+                topo.name(),
                 knee.knee_users,
                 knee.trials.len(),
                 offered,

@@ -17,7 +17,7 @@
 
 use publishing_chaos::driver::Engine;
 use publishing_chaos::oracle::OracleOptions;
-use publishing_chaos::scenario::{Scenario, Topology, NODES, REPLICAS, SHARDS};
+use publishing_chaos::scenario::{Scenario, Topology, NODES};
 use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
 
 fn usage() -> ! {
@@ -26,25 +26,16 @@ fn usage() -> ! {
 }
 
 fn run_suite(topology: Topology, seed: u64, schedules: u64) -> Result<(), String> {
-    let name = match topology {
-        Topology::Single => "single",
-        Topology::Sharded => "sharded",
-        Topology::Quorum => "quorum",
-    };
+    let name = topology.name();
+    let (shards, replicas) = topology.width();
     let eng = Engine::new(Scenario::new(topology, seed), OracleOptions::default())
         .map_err(|e| format!("[{name}] baseline: {e}"))?;
     for k in 0..schedules {
         let sched = schedule::generate(&ChaosConfig {
             seed: seed.wrapping_mul(1000).wrapping_add(k),
             nodes: NODES,
-            shards: match topology {
-                Topology::Sharded => SHARDS,
-                _ => 0,
-            },
-            replicas: match topology {
-                Topology::Quorum => REPLICAS,
-                _ => 0,
-            },
+            shards,
+            replicas,
             procs: 4,
             horizon_ms: 1500,
             max_faults: 7,

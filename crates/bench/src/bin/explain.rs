@@ -77,7 +77,7 @@ fn run_scenario(pings: u64, pairs: u32, horizon: SimTime, crash: bool) -> Sharde
 }
 
 /// The Chrome-trace export of a world's span logs, in the same
-/// component order as `ShardedWorld::span_logs()`.
+/// component order as `Cluster::span_logs()`.
 fn flow_trace(w: &ShardedWorld) -> trace::ChromeTrace {
     let mut components = Vec::new();
     for (n, k) in &w.kernels {

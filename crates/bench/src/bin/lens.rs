@@ -32,7 +32,6 @@
 
 use publishing_chaos::{Medium, Topology};
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
 use publishing_workload::{find_knee, run_whatif, SearchParams, WorkloadSpec};
 
 fn usage() -> ! {
@@ -102,7 +101,7 @@ fn profile(
         println!(
             "{{\"medium\":{},\"topology\":{},\"knee\":{},\"binding\":{},\"clauses\":{},\"report\":{}}}",
             json_str(medium_name(medium)),
-            json_str(topology_name(topology)),
+            json_str(topology.name()),
             knee.knee_users,
             knee.binding
                 .as_deref()
@@ -115,7 +114,7 @@ fn profile(
         println!(
             "== lens: medium={} topology={} knee={} binding={}{}",
             medium_name(medium),
-            topology_name(topology),
+            topology.name(),
             knee.knee_users,
             knee.binding.as_deref().unwrap_or("none"),
             if clauses.is_empty() {

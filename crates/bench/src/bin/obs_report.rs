@@ -141,7 +141,7 @@ fn run_quorum(json: bool, smoke: bool, trace_path: Option<String>) {
     }
 
     if let Some(path) = trace_path {
-        // Component order matches QuorumWorld::span_logs(): kernels by
+        // Component order matches Cluster::span_logs(): kernels by
         // node id, then replicas by index.
         let mut components = Vec::new();
         for (n, k) in &w.kernels {
@@ -290,7 +290,7 @@ fn main() {
     }
 
     if let Some(path) = trace_path {
-        // Component order matches ShardedWorld::span_logs(): kernels by
+        // Component order matches Cluster::span_logs(): kernels by
         // node id, then shards by index.
         let mut components = Vec::new();
         for (n, k) in &w.kernels {

@@ -19,7 +19,6 @@
 
 use publishing_chaos::Topology;
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
 use publishing_workload::{canonical_shapes, find_knee, SearchParams, WorkloadSpec};
 
 fn usage() -> ! {
@@ -37,7 +36,7 @@ fn skeleton(knee: &publishing_workload::Knee) -> (u32, Vec<(u32, bool)>) {
 
 fn gate(name: &str, spec: &WorkloadSpec, params: &SearchParams) -> Result<(), String> {
     for topo in [Topology::Single, Topology::Sharded, Topology::Quorum] {
-        let tn = topology_name(topo);
+        let tn = topo.name();
         let first = find_knee(name, topo, spec, &SloSpec::default(), params);
         let second = find_knee(name, topo, spec, &SloSpec::default(), params);
         if skeleton(&first) != skeleton(&second) {

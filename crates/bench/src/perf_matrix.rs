@@ -355,7 +355,6 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
 fn capacity(smoke: bool) -> ScenarioSnapshot {
     use publishing_chaos::Medium;
     use publishing_obs::slo::SloSpec;
-    use publishing_workload::capacity::topology_name;
     use publishing_workload::{find_knee, SearchParams, WorkloadSpec};
 
     let base = WorkloadSpec::default();
@@ -373,7 +372,7 @@ fn capacity(smoke: bool) -> ScenarioSnapshot {
         .enumerate()
     {
         let knee = find_knee("default", topo, &base, &SloSpec::default(), &params);
-        let name = topology_name(topo);
+        let name = topo.name();
         s.virt(format!("{name}_capacity_users"), f64::from(knee.knee_users));
         s.virt(format!("{name}_trials"), knee.trials.len() as f64);
         if let Some(t) = knee.knee_trial() {

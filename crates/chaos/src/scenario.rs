@@ -7,10 +7,13 @@
 //! workload engine plugs in phase-compiled publish drivers through the
 //! same hook. The [`ChaosWorld`] trait is the narrow waist the driver
 //! and oracle see: run-to-fault, inject, heal, and the invariant
-//! probes.
+//! probes. One generic target implements it for every tier; a tier only
+//! says, through [`TierWorld`], how its stations crash and restart and
+//! what convergence means for it.
 
 use crate::schedule::Fault;
-use publishing_core::world::{World, WorldBuilder};
+use publishing_core::cluster::{Cluster, RecorderTier, TierStation};
+use publishing_core::world::{SingleTier, World, WorldBuilder};
 use publishing_demos::costs::CostModel;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
@@ -21,8 +24,8 @@ use publishing_net::ethernet::Ethernet;
 use publishing_net::lan::{Lan, LanConfig};
 use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::span::check_replay_prefix;
-use publishing_quorum::{QuorumConfig, QuorumWorld};
-use publishing_shard::ShardedWorld;
+use publishing_quorum::{QuorumConfig, QuorumTier, QuorumWorld};
+use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::event::FaultClock;
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
@@ -38,6 +41,28 @@ pub enum Topology {
     Sharded,
     /// A replicated recorder quorum ([`QuorumWorld`]).
     Quorum,
+}
+
+impl Topology {
+    /// Short name (report keys, table rows).
+    pub fn name(self) -> &'static str {
+        match self {
+            Topology::Single => "single",
+            Topology::Sharded => "sharded",
+            Topology::Quorum => "quorum",
+        }
+    }
+
+    /// The `(shards, replicas)` the fault generator may address on this
+    /// tier: [`SHARDS`] shards on the sharded tier, [`REPLICAS`]
+    /// replicas on the quorum tier, neither on the single recorder.
+    pub fn width(self) -> (u32, u32) {
+        match self {
+            Topology::Single => (0, 0),
+            Topology::Sharded => (SHARDS, 0),
+            Topology::Quorum => (0, REPLICAS),
+        }
+    }
 }
 
 /// Which broadcast medium the target world runs on.
@@ -166,44 +191,28 @@ impl Scenario {
     pub fn build_with(&self, source: &dyn WorkloadSource) -> Box<dyn ChaosWorld> {
         let plan = source.plan();
         match self.topology {
-            Topology::Single => {
-                let mut w = WorldBuilder::new(NODES)
+            Topology::Single => target(
+                WorldBuilder::new(NODES)
                     .registry(source.registry())
                     .medium(self.medium_box())
                     .costs(self.tuning.costs.clone())
                     .transport(self.tuning.transport.clone())
-                    .build();
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(SingleTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
-            Topology::Sharded => {
-                let mut w = ShardedWorld::with_tuning(
+                    .build(),
+                &plan,
+            ),
+            Topology::Sharded => target(
+                ShardedWorld::with_tuning(
                     NODES,
                     SHARDS as usize,
                     source.registry(),
                     self.medium_box(),
                     self.tuning.costs.clone(),
                     self.tuning.transport.clone(),
-                );
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(ShardedTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
-            Topology::Quorum => {
-                let mut w = QuorumWorld::with_config(
+                ),
+                &plan,
+            ),
+            Topology::Quorum => target(
+                QuorumWorld::with_config(
                     QuorumConfig {
                         nodes: NODES,
                         replicas: REPLICAS as usize,
@@ -214,19 +223,24 @@ impl Scenario {
                     },
                     source.registry(),
                     self.medium_box(),
-                );
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(QuorumTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
+                ),
+                &plan,
+            ),
         }
     }
+}
+
+/// Spawns `plan` on `w` and wraps it as a chaos target.
+fn target<W: TierWorld + 'static>(mut w: W, plan: &[PlanSpawn]) -> Box<dyn ChaosWorld> {
+    let (procs, clients) = spawn_plan(plan, |node, prog, links| {
+        w.cluster_mut().spawn(node, prog, links).expect("spawn")
+    });
+    Box::new(Target {
+        w,
+        procs,
+        clients,
+        injected: BTreeMap::new(),
+    })
 }
 
 /// A link in a spawn plan, pointing at an earlier spawn by plan index.
@@ -410,252 +424,114 @@ pub trait ChaosWorld {
     }
 }
 
-/// Files the per-kind injection counters and the store/disk fault
-/// consumption counters shared by both targets.
-fn chaos_metrics(
-    reg: &mut MetricsRegistry,
-    injected: &BTreeMap<&'static str, u64>,
-    recorders: &[&publishing_core::recorder::Recorder],
-) {
-    for (kind, n) in injected {
-        reg.counter(format!("chaos/injected/{kind}"), *n);
+/// What the chaos engine needs from one recorder tier beyond the shared
+/// [`Cluster`]: how its stations crash and restart, the faults only it
+/// understands, and its convergence and safety probes.
+pub trait TierWorld {
+    /// The recording tier.
+    type Tier: RecorderTier;
+    /// The shared cluster.
+    fn cluster(&self) -> &Cluster<Self::Tier>;
+    /// Mutable access to the shared cluster.
+    fn cluster_mut(&mut self) -> &mut Cluster<Self::Tier>;
+    /// Crashes live station `idx`, unless the tier cannot spare it.
+    fn crash_station(&mut self, idx: usize);
+    /// Restarts crashed station `idx`.
+    fn restart_station(&mut self, idx: usize);
+    /// The station a fault crashes (`true`) or restarts (`false`),
+    /// before reduction modulo the tier width; `None` for other faults.
+    fn station_fault(&self, fault: &Fault) -> Option<(u32, bool)> {
+        recorder_fault(fault)
     }
-    let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
-    for rec in recorders {
-        let store = rec.store();
-        retries += store.stats().io_retries.get();
-        for i in 0..store.n_disks() {
-            let d = store.disk_stats(i);
-            transient += d.transient_errors.get();
-            torn += d.torn_writes.get();
-        }
+    /// Injects a fault that addresses no station; the default ignores it.
+    fn inject_other(&mut self, _fault: &Fault) {}
+    /// Stations still down, catching up or lagging.
+    fn station_failures(&self) -> Vec<String>;
+    /// Safety-oracle violations, reported after convergence.
+    fn safety_failures(&self) -> Vec<String> {
+        Vec::new()
     }
-    reg.counter("chaos/disk/io_retries", retries);
-    reg.counter("chaos/disk/transient_errors", transient);
-    reg.counter("chaos/disk/torn_writes", torn);
+    /// The index of the current consensus leader (`None` for tiers
+    /// without consensus, or while leaderless).
+    fn quorum_leader(&self) -> Option<usize> {
+        None
+    }
 }
 
-/// [`ChaosWorld`] over the single-recorder [`World`].
-struct SingleTarget {
-    w: World,
-    procs: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    injected: BTreeMap<&'static str, u64>,
+/// The station a recorder fault addresses.
+fn recorder_fault(fault: &Fault) -> Option<(u32, bool)> {
+    match *fault {
+        Fault::CrashRecorder { shard, .. } => Some((shard, true)),
+        Fault::RestartRecorder { shard, .. } => Some((shard, false)),
+        _ => None,
+    }
 }
 
-impl ChaosWorld for SingleTarget {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
+impl TierWorld for World {
+    type Tier = SingleTier;
+
+    fn cluster(&self) -> &World {
+        self
     }
 
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
+    fn cluster_mut(&mut self) -> &mut World {
+        self
     }
 
-    fn inject(&mut self, fault: &Fault) {
-        *self.injected.entry(fault.kind()).or_insert(0) += 1;
-        match fault {
-            Fault::CrashProcess { victim, .. } => {
-                let pid = self.procs[*victim as usize % self.procs.len()];
-                self.w.crash_process(pid, "chaos");
-            }
-            Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashRecorder { .. } if self.w.recorder.is_up() => {
-                self.w.crash_recorder();
-            }
-            Fault::RestartRecorder { .. } if !self.w.recorder.is_up() => {
-                self.w.restart_recorder();
-            }
-            // Rebalance and windowed faults are driven via the
-            // set_*_faults hooks / are sharded-only.
-            _ => {}
-        }
+    fn crash_station(&mut self, _idx: usize) {
+        self.crash_recorder();
     }
 
-    fn set_medium_faults(&mut self, plan: FaultPlan) {
-        self.w.lan.set_faults(plan);
+    fn restart_station(&mut self, _idx: usize) {
+        self.restart_recorder();
     }
 
-    fn set_disk_faults(&mut self, faults: DiskFaults) {
-        self.w.recorder.set_disk_faults(faults);
-    }
-
-    fn heal(&mut self) {
-        if !self.w.recorder.is_up() {
-            self.w.restart_recorder();
-        }
-        self.w.lan.set_faults(FaultPlan::new());
-        self.w.recorder.set_disk_faults(DiskFaults::default());
-    }
-
-    fn output_fingerprint(&self) -> u64 {
-        self.w.output_fingerprint()
-    }
-
-    fn obs_fingerprint(&self) -> u64 {
-        self.w.obs_fingerprint()
-    }
-
-    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
-        self.clients
-            .iter()
-            .map(|&c| (c, self.w.outputs_of(c)))
-            .collect()
-    }
-
-    fn convergence_failures(&self) -> Vec<String> {
+    fn station_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
-        if !self.w.recorder.is_up() {
+        if !self.recorder.is_up() {
             out.push("recorder still down".into());
         }
         let lag =
-            publishing_core::obs::replay_lag(self.w.recorder.recorder(), self.w.recorder.manager());
+            publishing_core::obs::replay_lag(self.recorder.recorder(), self.recorder.manager());
         if lag != 0 {
             out.push(format!("replay lag {lag} has not drained"));
         }
-        for l in self.w.recovery_lags() {
-            if l.recovering {
-                out.push(format!("pid {} still marked recovering", l.subject));
-            }
-        }
         out
     }
+}
 
-    fn replay_prefix_failures(&self) -> Vec<String> {
+impl TierWorld for ShardedWorld {
+    type Tier = ShardTier;
+
+    fn cluster(&self) -> &Cluster<ShardTier> {
+        self
+    }
+
+    fn cluster_mut(&mut self) -> &mut Cluster<ShardTier> {
+        self
+    }
+
+    /// Keeps at least one live shard: with every shard down the tier
+    /// cannot ack anything and the run degenerates.
+    fn crash_station(&mut self, idx: usize) {
+        if self.shards.iter().filter(|s| s.is_up()).count() > 1 {
+            self.crash_shard(idx);
+        }
+    }
+
+    fn restart_station(&mut self, idx: usize) {
+        self.restart_shard(idx);
+    }
+
+    fn inject_other(&mut self, fault: &Fault) {
+        if let Fault::AddShard { .. } = fault {
+            self.add_shard();
+        }
+    }
+
+    fn station_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
-            for pid in &self.procs {
-                if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
-                    out.push(format!("node {node}, subject {pid}: {e}"));
-                }
-            }
-        }
-        out
-    }
-
-    fn suppression_failures(&self) -> Vec<String> {
-        suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
-            &self.procs,
-            self.recoveries_completed(),
-        )
-    }
-
-    fn recoveries_completed(&self) -> u64 {
-        self.w.recorder.manager().stats().completed.get()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.w.collect_metrics();
-        chaos_metrics(&mut reg, &self.injected, &[self.w.recorder.recorder()]);
-        reg
-    }
-
-    fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let mut report = self.w.obs_report();
-        report.metrics = self.metrics();
-        report
-    }
-
-    fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
-        self.w
-            .span_logs()
-            .iter()
-            .map(|l| l.events().collect())
-            .collect()
-    }
-}
-
-/// [`ChaosWorld`] over the [`ShardedWorld`].
-struct ShardedTarget {
-    w: ShardedWorld,
-    procs: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    injected: BTreeMap<&'static str, u64>,
-}
-
-impl ShardedTarget {
-    fn live_count(&self) -> usize {
-        self.w.shards.iter().filter(|s| s.is_up()).count()
-    }
-}
-
-impl ChaosWorld for ShardedTarget {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
-    }
-
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
-    }
-
-    fn inject(&mut self, fault: &Fault) {
-        *self.injected.entry(fault.kind()).or_insert(0) += 1;
-        match fault {
-            Fault::CrashProcess { victim, .. } => {
-                let pid = self.procs[*victim as usize % self.procs.len()];
-                self.w.crash_process(pid, "chaos");
-            }
-            Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.shards.len();
-                // Keep at least one live shard: with every shard down
-                // the tier cannot ack anything and the run degenerates.
-                if self.w.shards[idx].is_up() && self.live_count() > 1 {
-                    self.w.crash_shard(idx);
-                }
-            }
-            Fault::RestartRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.shards.len();
-                if !self.w.shards[idx].is_up() {
-                    self.w.restart_shard(idx);
-                }
-            }
-            Fault::AddShard { .. } => {
-                self.w.add_shard();
-            }
-            _ => {}
-        }
-    }
-
-    fn set_medium_faults(&mut self, plan: FaultPlan) {
-        self.w.lan.set_faults(plan);
-    }
-
-    fn set_disk_faults(&mut self, faults: DiskFaults) {
-        for s in &mut self.w.shards {
-            s.set_disk_faults(faults.clone());
-        }
-    }
-
-    fn heal(&mut self) {
-        for i in 0..self.w.shards.len() {
-            if !self.w.shards[i].is_up() {
-                self.w.restart_shard(i);
-            }
-        }
-        self.w.lan.set_faults(FaultPlan::new());
-        self.set_disk_faults(DiskFaults::default());
-    }
-
-    fn output_fingerprint(&self) -> u64 {
-        self.w.output_fingerprint()
-    }
-
-    fn obs_fingerprint(&self) -> u64 {
-        self.w.obs_fingerprint()
-    }
-
-    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
-        self.clients
-            .iter()
-            .map(|&c| (c, self.w.outputs_of(c)))
-            .collect()
-    }
-
-    fn convergence_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for h in self.w.shard_health() {
+        for h in self.shard_health() {
             if !h.live {
                 out.push(format!("shard {} still down", h.shard));
             }
@@ -675,174 +551,55 @@ impl ChaosWorld for ShardedTarget {
                 ));
             }
         }
-        for l in self.w.recovery_lags() {
-            if l.recovering {
-                out.push(format!("pid {} still marked recovering", l.subject));
-            }
-        }
         out
     }
+}
 
-    fn replay_prefix_failures(&self) -> Vec<String> {
+impl TierWorld for QuorumWorld {
+    type Tier = QuorumTier;
+
+    fn cluster(&self) -> &Cluster<QuorumTier> {
+        self
+    }
+
+    fn cluster_mut(&mut self) -> &mut Cluster<QuorumTier> {
+        self
+    }
+
+    /// Crashes only if a strict majority of the group stays alive. Chaos
+    /// that silences the quorum entirely proves nothing — consensus only
+    /// promises progress with a majority, so the injector honors that
+    /// precondition and the oracle then gets to demand full convergence.
+    fn crash_station(&mut self, idx: usize) {
+        let live = self.live_replicas();
+        if live >= 1 && (live - 1) * 2 > self.replica_count() {
+            self.crash_replica(idx);
+        }
+    }
+
+    fn restart_station(&mut self, idx: usize) {
+        self.restart_replica(idx);
+    }
+
+    /// Replica faults address the group; so do single/sharded recorder
+    /// faults — a recorder crash is a replica crash.
+    fn station_fault(&self, fault: &Fault) -> Option<(u32, bool)> {
+        match *fault {
+            Fault::CrashReplica { idx, .. } => Some((idx, true)),
+            Fault::RestartReplica { idx, .. } => Some((idx, false)),
+            _ => recorder_fault(fault),
+        }
+    }
+
+    fn station_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
-            for pid in &self.procs {
-                if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
-                    out.push(format!("node {node}, subject {pid}: {e}"));
-                }
-            }
-        }
-        out
-    }
-
-    fn suppression_failures(&self) -> Vec<String> {
-        suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
-            &self.procs,
-            self.recoveries_completed(),
-        )
-    }
-
-    fn recoveries_completed(&self) -> u64 {
-        self.w.recoveries_completed()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.w.collect_metrics();
-        let recorders: Vec<_> = self.w.shards.iter().map(|rn| rn.recorder()).collect();
-        chaos_metrics(&mut reg, &self.injected, &recorders);
-        reg
-    }
-
-    fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let mut report = self.w.obs_report();
-        report.metrics = self.metrics();
-        report
-    }
-
-    fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
-        self.w
-            .span_logs()
-            .iter()
-            .map(|l| l.events().collect())
-            .collect()
-    }
-}
-
-/// [`ChaosWorld`] over the [`QuorumWorld`].
-struct QuorumTarget {
-    w: QuorumWorld,
-    procs: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    injected: BTreeMap<&'static str, u64>,
-}
-
-impl QuorumTarget {
-    /// True if crashing one more replica still leaves a strict majority
-    /// of the group alive. Chaos that silences the quorum entirely
-    /// proves nothing — consensus only promises progress with a
-    /// majority, so the injector honors that precondition and the
-    /// oracle then gets to demand full convergence.
-    fn can_lose_one(&self) -> bool {
-        let n = self.w.replica_count();
-        let live = self.w.live_replicas();
-        live >= 1 && (live - 1) * 2 > n
-    }
-
-    fn crash_replica_guarded(&mut self, idx: usize) {
-        if self.w.replicas[idx].is_up() && self.can_lose_one() {
-            self.w.crash_replica(idx);
-        }
-    }
-}
-
-impl ChaosWorld for QuorumTarget {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
-    }
-
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
-    }
-
-    fn inject(&mut self, fault: &Fault) {
-        *self.injected.entry(fault.kind()).or_insert(0) += 1;
-        match fault {
-            Fault::CrashProcess { victim, .. } => {
-                let pid = self.procs[*victim as usize % self.procs.len()];
-                self.w.crash_process(pid, "chaos");
-            }
-            Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashReplica { idx, .. } => {
-                let idx = *idx as usize % self.w.replica_count();
-                self.crash_replica_guarded(idx);
-            }
-            Fault::RestartReplica { idx, .. } => {
-                let idx = *idx as usize % self.w.replica_count();
-                if !self.w.replicas[idx].is_up() {
-                    self.w.restart_replica(idx);
-                }
-            }
-            // Single/sharded recorder faults address the same tier here:
-            // a recorder crash is a replica crash.
-            Fault::CrashRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.replica_count();
-                self.crash_replica_guarded(idx);
-            }
-            Fault::RestartRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.replica_count();
-                if !self.w.replicas[idx].is_up() {
-                    self.w.restart_replica(idx);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn set_medium_faults(&mut self, plan: FaultPlan) {
-        self.w.lan.set_faults(plan);
-    }
-
-    fn set_disk_faults(&mut self, faults: DiskFaults) {
-        for r in &mut self.w.replicas {
-            r.set_disk_faults(faults.clone());
-        }
-    }
-
-    fn heal(&mut self) {
-        for i in 0..self.w.replica_count() {
-            if !self.w.replicas[i].is_up() {
-                self.w.restart_replica(i);
-            }
-        }
-        self.w.lan.set_faults(FaultPlan::new());
-        self.set_disk_faults(DiskFaults::default());
-    }
-
-    fn output_fingerprint(&self) -> u64 {
-        self.w.output_fingerprint()
-    }
-
-    fn obs_fingerprint(&self) -> u64 {
-        self.w.obs_fingerprint()
-    }
-
-    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
-        self.clients
-            .iter()
-            .map(|&c| (c, self.w.outputs_of(c)))
-            .collect()
-    }
-
-    fn convergence_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let health = self.w.quorum_health();
+        let health = self.quorum_health();
         for h in &health {
             if !h.live {
                 out.push(format!("replica {} still down", h.replica));
             }
         }
-        if self.w.leader().is_none() {
+        if self.leader().is_none() {
             out.push("quorum is leaderless".into());
         }
         for h in &health {
@@ -853,25 +610,117 @@ impl ChaosWorld for QuorumTarget {
                 ));
             }
         }
-        for l in self.w.recovery_lags() {
+        out
+    }
+
+    /// The consensus safety oracles (election safety, state-machine
+    /// safety, log matching, gap/duplicate freedom of the arrival
+    /// sequence), plus everything the online watchdog flagged while the
+    /// run was still in flight (arrival gaps or leaderless stalls that
+    /// outlived their virtual-time deadlines, commit regressions).
+    fn safety_failures(&self) -> Vec<String> {
+        let mut out = self.quorum_invariant_failures();
+        out.extend(self.watchdog_violations().iter().cloned());
+        out
+    }
+
+    fn quorum_leader(&self) -> Option<usize> {
+        self.leader()
+    }
+}
+
+/// [`ChaosWorld`] over any tier's world.
+struct Target<W> {
+    w: W,
+    procs: Vec<ProcessId>,
+    clients: Vec<ProcessId>,
+    injected: BTreeMap<&'static str, u64>,
+}
+
+impl<W: TierWorld> ChaosWorld for Target<W> {
+    fn set_fault_clock(&mut self, clock: FaultClock) {
+        self.w.cluster_mut().set_fault_clock(clock);
+    }
+
+    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
+        self.w.cluster_mut().run_until_or_fault(deadline)
+    }
+
+    fn inject(&mut self, fault: &Fault) {
+        *self.injected.entry(fault.kind()).or_insert(0) += 1;
+        match fault {
+            Fault::CrashProcess { victim, .. } => {
+                let pid = self.procs[*victim as usize % self.procs.len()];
+                self.w.cluster_mut().crash_process(pid, "chaos");
+            }
+            Fault::CrashNode { node, .. } => self.w.cluster_mut().crash_node(node % NODES),
+            // Faults that do not apply to the current state (restarting a
+            // station that is up) are no-ops; windowed faults are driven
+            // through the set_*_faults hooks.
+            _ => match self.w.station_fault(fault) {
+                Some((station, crash)) => {
+                    let idx = station as usize % self.w.cluster().stations().len();
+                    let up = self.w.cluster().stations()[idx].is_up();
+                    if crash && up {
+                        self.w.crash_station(idx);
+                    } else if !crash && !up {
+                        self.w.restart_station(idx);
+                    }
+                }
+                None => self.w.inject_other(fault),
+            },
+        }
+    }
+
+    fn set_medium_faults(&mut self, plan: FaultPlan) {
+        self.w.cluster_mut().lan.set_faults(plan);
+    }
+
+    fn set_disk_faults(&mut self, faults: DiskFaults) {
+        for s in self.w.cluster_mut().stations_mut() {
+            s.recorder_node_mut().set_disk_faults(faults.clone());
+        }
+    }
+
+    fn heal(&mut self) {
+        for i in 0..self.w.cluster().stations().len() {
+            if !self.w.cluster().stations()[i].is_up() {
+                self.w.restart_station(i);
+            }
+        }
+        self.set_medium_faults(FaultPlan::new());
+        self.set_disk_faults(DiskFaults::default());
+    }
+
+    fn output_fingerprint(&self) -> u64 {
+        self.w.cluster().output_fingerprint()
+    }
+
+    fn obs_fingerprint(&self) -> u64 {
+        self.w.cluster().obs_fingerprint()
+    }
+
+    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
+        self.clients
+            .iter()
+            .map(|&c| (c, self.w.cluster().outputs_of(c)))
+            .collect()
+    }
+
+    fn convergence_failures(&self) -> Vec<String> {
+        let mut out = self.w.station_failures();
+        for l in self.w.cluster().recovery_lags() {
             if l.recovering {
                 out.push(format!("pid {} still marked recovering", l.subject));
             }
         }
-        // The consensus safety oracles ride along with convergence:
-        // election safety, state-machine safety, log matching, and
-        // gap/duplicate freedom of the arrival sequence.
-        out.extend(self.w.quorum_invariant_failures());
-        // Plus everything the online watchdog flagged while the run
-        // was still in flight (arrival gaps or leaderless stalls that
-        // outlived their virtual-time deadlines, commit regressions).
-        out.extend(self.w.watchdog_violations().iter().cloned());
+        out.extend(self.w.safety_failures());
         out
     }
 
     fn replay_prefix_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
+        for (node, k) in &self.w.cluster().kernels {
             for pid in &self.procs {
                 if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
                     out.push(format!("node {node}, subject {pid}: {e}"));
@@ -883,36 +732,49 @@ impl ChaosWorld for QuorumTarget {
 
     fn suppression_failures(&self) -> Vec<String> {
         suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
+            self.w.cluster().kernels.values().map(|k| k.spans()),
             &self.procs,
             self.recoveries_completed(),
         )
     }
 
     fn recoveries_completed(&self) -> u64 {
-        self.w.recoveries_completed()
+        self.w.cluster().recoveries_completed()
     }
 
+    /// Files the per-kind injection counters and the store/disk fault
+    /// consumption counters.
     fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.w.collect_metrics();
-        let recorders: Vec<_> = self
-            .w
-            .replicas
-            .iter()
-            .map(|r| r.recorder_node().recorder())
-            .collect();
-        chaos_metrics(&mut reg, &self.injected, &recorders);
+        let c = self.w.cluster();
+        let mut reg = c.collect_metrics();
+        for (kind, n) in &self.injected {
+            reg.counter(format!("chaos/injected/{kind}"), *n);
+        }
+        let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
+        for rec in c.recorders() {
+            let store = rec.store();
+            retries += store.stats().io_retries.get();
+            for i in 0..store.n_disks() {
+                let d = store.disk_stats(i);
+                transient += d.transient_errors.get();
+                torn += d.torn_writes.get();
+            }
+        }
+        reg.counter("chaos/disk/io_retries", retries);
+        reg.counter("chaos/disk/transient_errors", transient);
+        reg.counter("chaos/disk/torn_writes", torn);
         reg
     }
 
     fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let mut report = self.w.obs_report();
+        let mut report = self.w.cluster().obs_report();
         report.metrics = self.metrics();
         report
     }
 
     fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
         self.w
+            .cluster()
             .span_logs()
             .iter()
             .map(|l| l.events().collect())
@@ -920,7 +782,7 @@ impl ChaosWorld for QuorumTarget {
     }
 
     fn quorum_leader(&self) -> Option<usize> {
-        self.w.leader()
+        self.w.quorum_leader()
     }
 }
 

@@ -14,7 +14,9 @@
 //! - [`checkpoint`]: checkpoint policies (periodic, storage-balancing,
 //!   Young's optimum, bounded recovery time);
 //! - [`recovery_time`]: the §3.2.3 t_max bound (Figure 3.1);
-//! - [`world`]: a complete simulated system (nodes + recorder + LAN);
+//! - [`cluster`]: the one simulation driver — nodes, a recording tier
+//!   and a LAN in one event loop, generic over the tier;
+//! - [`world`]: the single-recorder tier (nodes + recorder + LAN);
 //! - [`multi`]: multiple recorders with §6.3 priority-vector failover;
 //! - [`live`]: the same state machines on real threads and wall-clock
 //!   time (crossbeam channels as the medium);
@@ -31,6 +33,7 @@
 
 pub mod baseline;
 pub mod checkpoint;
+pub mod cluster;
 pub mod debugger;
 pub mod live;
 pub mod manager;
@@ -44,11 +47,12 @@ pub mod transactions;
 pub mod world;
 
 pub use checkpoint::{young_interval, young_overhead, CheckpointPolicy};
+pub use cluster::{Cluster, RecorderTier, TierStation};
 pub use debugger::ReplayDebugger;
 pub use live::{LiveBuilder, LiveSystem};
 pub use manager::{ManagerConfig, MgrCmd, RecoveryManager};
-pub use multi::{MultiWorld, PriorityVectors};
+pub use multi::{MultiTier, MultiWorld, PriorityVectors};
 pub use node::{RNAction, RecorderConfig, RecorderNode};
 pub use recorder::{ProcessEntry, PublishCost, Recorder, RecorderStats};
 pub use recovery_time::{LoadParams, RecoveryEstimator};
-pub use world::{World, WorldBuilder};
+pub use world::{SingleTier, World, WorldBuilder};

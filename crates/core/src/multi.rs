@@ -10,18 +10,15 @@
 //! required-recorder set — and a restarted recorder catches up through
 //! natural checkpointing before it is required again.
 
-use crate::node::{RNAction, RecorderConfig, RecorderNode};
+use crate::cluster::{Cluster, RecorderTier};
+use crate::node::{RecorderConfig, RecorderNode};
 use publishing_demos::costs::CostModel;
-use publishing_demos::harness::OutputLine;
-use publishing_demos::ids::{NodeId, ProcessId};
-use publishing_demos::kernel::{Kernel, KernelAction};
-use publishing_demos::link::Link;
-use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
+use publishing_demos::ids::NodeId;
+use publishing_demos::registry::ProgramRegistry;
 use publishing_demos::transport::TransportConfig;
 use publishing_net::bus::PerfectBus;
-use publishing_net::frame::{Frame, StationId};
-use publishing_net::lan::{Lan, LanAction, LanConfig};
-use publishing_sim::event::Scheduler;
+use publishing_net::lan::LanConfig;
+use publishing_obs::probe::RecoveryLag;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -56,292 +53,115 @@ impl PriorityVectors {
     }
 }
 
-#[derive(Debug)]
-enum MEv {
-    LanTimer(u64),
-    KernelTimer(u32, u64),
-    RecorderTimer(usize, u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
-}
-
-/// A world with several recorders.
-pub struct MultiWorld {
-    sched: Scheduler<MEv>,
-    /// The shared medium.
-    pub lan: Box<dyn Lan>,
-    /// Processing-node kernels.
-    pub kernels: BTreeMap<u32, Kernel>,
-    /// The recorders.
+/// The recording tier of a [`MultiWorld`]: several recorders that all
+/// record everything.
+pub struct MultiTier {
+    /// The recorders; index i runs on node id `nodes + i`.
     pub recorders: Vec<RecorderNode>,
     /// Priority vectors.
     pub priorities: PriorityVectors,
-    /// Raw outputs.
-    pub outputs: Vec<OutputLine>,
-    /// Authoritative node incarnations.
-    node_incarnations: BTreeMap<u32, u32>,
     /// Recorders waiting to be re-required once caught up: (index, since).
     rejoining: Vec<(usize, SimTime)>,
-    n_nodes: u32,
 }
+
+impl RecorderTier for MultiTier {
+    type Station = RecorderNode;
+
+    fn stations(&self) -> &[RecorderNode] {
+        &self.recorders
+    }
+
+    fn stations_mut(&mut self) -> &mut [RecorderNode] {
+        &mut self.recorders
+    }
+
+    fn gate(c: &mut MultiWorld) {
+        refresh_required(c);
+    }
+
+    fn restart_node(c: &mut MultiWorld, now: SimTime, idx: usize, node: NodeId, _incarnation: u32) {
+        // §6.3: only the highest-priority live recorder acts.
+        let alive: Vec<bool> = c.recorders.iter().map(|r| r.is_up()).collect();
+        if c.priorities.responsible(node, &alive) != Some(idx) {
+            c.recorders[idx].decline_node_restart(node);
+            return;
+        }
+        let incarnation = c.next_incarnation(node);
+        c.restart_node(now, idx, node, incarnation, false);
+    }
+
+    /// Re-admits rejoining recorders once caught up.
+    fn after_event(c: &mut MultiWorld, _now: SimTime) {
+        if c.rejoining.is_empty() {
+            return;
+        }
+        let done: Vec<usize> = c
+            .rejoining
+            .iter()
+            .filter(|(i, since)| c.recorders[*i].recorder().caught_up(*since))
+            .map(|(i, _)| *i)
+            .collect();
+        if !done.is_empty() {
+            c.rejoining.retain(|(i, _)| !done.contains(i));
+            refresh_required(c);
+        }
+    }
+
+    fn metric_prefix(idx: usize) -> String {
+        format!("recorder/{idx}")
+    }
+
+    /// Every recorder records everything: read the first live one.
+    fn recovery_lags(c: &MultiWorld, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        c.recorders
+            .iter()
+            .find(|r| r.is_up())
+            .map(|r| crate::obs::recovery_lags(r.recorder(), c.now(), suppressed))
+            .unwrap_or_default()
+    }
+}
+
+/// Requires every live recorder that is not still catching up.
+fn refresh_required(c: &mut MultiWorld) {
+    let live: Vec<usize> = (0..c.recorders.len())
+        .filter(|&i| c.recorders[i].is_up() && !c.rejoining.iter().any(|(j, _)| *j == i))
+        .collect();
+    c.require_stations(live);
+}
+
+/// A world with several recorders.
+pub type MultiWorld = Cluster<MultiTier>;
 
 impl MultiWorld {
     /// Builds a world with `nodes` processing nodes and `n_recorders`
     /// recorders (node ids `nodes..nodes+n_recorders`).
     pub fn new(nodes: u32, n_recorders: usize, registry: ProgramRegistry) -> Self {
-        let mut lan: Box<dyn Lan> = Box::new(PerfectBus::new(LanConfig::default()));
-        let mut kernels = BTreeMap::new();
-        let recorder_ids: Vec<NodeId> =
-            (0..n_recorders as u32).map(|i| NodeId(nodes + i)).collect();
-        for n in 0..nodes {
-            let mut k = Kernel::new(
-                NodeId(n),
-                registry.clone(),
-                CostModel::zero(),
-                TransportConfig::default(),
-                true,
-            );
-            for r in &recorder_ids {
-                k.add_recorder(*r);
-            }
-            lan.attach(k.station());
-            kernels.insert(n, k);
-        }
-        let mut recorders = Vec::new();
-        for r in &recorder_ids {
-            let rn = RecorderNode::new(*r, RecorderConfig::default());
-            lan.attach(rn.station());
-            recorders.push(rn);
-        }
-        lan.set_required_recorders(recorder_ids.iter().map(|r| StationId(r.0)).collect());
-        let mut world = MultiWorld {
-            sched: Scheduler::new(),
-            lan,
-            kernels,
-            recorders,
+        let tier = MultiTier {
+            recorders: (0..n_recorders as u32)
+                .map(|i| RecorderNode::new(NodeId(nodes + i), RecorderConfig::default()))
+                .collect(),
             priorities: PriorityVectors::round_robin(nodes, n_recorders),
-            outputs: Vec::new(),
-            node_incarnations: BTreeMap::new(),
             rejoining: Vec::new(),
-            n_nodes: nodes,
         };
-        let watch: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-        for i in 0..world.recorders.len() {
-            let actions = world.recorders[i].start(SimTime::ZERO, &watch);
-            world.apply_recorder(SimTime::ZERO, i, actions);
-        }
-        world
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn alive(&self) -> Vec<bool> {
-        self.recorders.iter().map(|r| r.is_up()).collect()
-    }
-
-    fn refresh_required(&mut self) {
-        let live: Vec<StationId> = self
-            .recorders
-            .iter()
-            .filter(|r| r.is_up())
-            .filter(|r| {
-                !self
-                    .rejoining
-                    .iter()
-                    .any(|(i, _)| self.recorders[*i].node() == r.node())
-            })
-            .map(|r| r.station())
-            .collect();
-        if live.is_empty() {
-            // Every recorder is down: require them all, suspending traffic.
-            let all: Vec<StationId> = self.recorders.iter().map(|r| r.station()).collect();
-            self.lan.set_required_recorders(all);
-        } else {
-            self.lan.set_required_recorders(live);
-        }
-    }
-
-    /// Spawns a program on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] for unregistered images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn spawn(
-        &mut self,
-        node: u32,
-        program: &str,
-        links: Vec<Link>,
-    ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
-            match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::KernelTimer(node, token));
-                }
-                KernelAction::Output { pid, seq, bytes } => {
-                    self.outputs.push(OutputLine {
-                        at: now,
-                        pid,
-                        seq,
-                        bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_recorder(&mut self, now: SimTime, idx: usize, actions: Vec<RNAction>) {
-        for a in actions {
-            match a {
-                RNAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                RNAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::RecorderTimer(idx, token));
-                }
-                RNAction::RestartNode { node, .. } => {
-                    // §6.3: only the highest-priority live recorder acts.
-                    let responsible = self.priorities.responsible(node, &self.alive());
-                    if responsible != Some(idx) {
-                        self.recorders[idx].decline_node_restart(node);
-                        continue;
-                    }
-                    let inc = self.node_incarnations.entry(node.0).or_insert(0);
-                    *inc += 1;
-                    let incarnation = *inc;
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
-                        k.restart_node(now, incarnation);
-                        self.lan.set_station_up(StationId(node.0), true);
-                    }
-                    let follow = self.recorders[idx].confirm_node_restarted(now, node, incarnation);
-                    self.apply_recorder(now, idx, follow);
-                }
-                RNAction::RecoveryDone { .. } => {}
-            }
-        }
-    }
-
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        MEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
-        }
-    }
-
-    fn recorder_index(&self, station: u32) -> Option<usize> {
-        self.recorders.iter().position(|r| r.node().0 == station)
-    }
-
-    /// Processes one event.
-    pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.sched.pop() else {
-            return false;
-        };
-        match ev {
-            MEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
-            }
-            MEv::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
-            }
-            MEv::RecorderTimer(idx, token) => {
-                let actions = self.recorders[idx].on_timer(now, token);
-                self.apply_recorder(now, idx, actions);
-            }
-            MEv::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(&to) {
-                        let actions = k.on_frame(now, &frame, recorder_ok);
-                        self.apply_kernel(now, to, actions);
-                    }
-                } else if let Some(idx) = self.recorder_index(to) {
-                    let actions = self.recorders[idx].on_frame(now, &frame, recorder_ok);
-                    self.apply_recorder(now, idx, actions);
-                }
-            }
-        }
-        // Re-admit rejoining recorders once caught up.
-        if !self.rejoining.is_empty() {
-            let done: Vec<usize> = self
-                .rejoining
-                .iter()
-                .filter(|(i, since)| self.recorders[*i].recorder().caught_up(*since))
-                .map(|(i, _)| *i)
-                .collect();
-            if !done.is_empty() {
-                self.rejoining.retain(|(i, _)| !done.contains(i));
-                self.refresh_required();
-            }
-        }
-        true
-    }
-
-    /// Runs until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
+        Cluster::with_tier(
+            nodes,
+            registry,
+            CostModel::zero(),
+            TransportConfig::default(),
+            true,
+            Box::new(PerfectBus::new(LanConfig::default())),
+            tier,
+        )
     }
 
     /// Crashes a recorder; survivors cover for it (required set shrinks).
     pub fn crash_recorder(&mut self, idx: usize) {
+        self.record_crash();
         self.recorders[idx].crash();
         let st = self.recorders[idx].station();
         self.lan.set_station_up(st, false);
         self.rejoining.retain(|(i, _)| *i != idx);
-        self.refresh_required();
+        refresh_required(self);
     }
 
     /// Restarts a recorder; it catches up via natural checkpointing
@@ -351,37 +171,8 @@ impl MultiWorld {
         let st = self.recorders[idx].station();
         self.lan.set_station_up(st, true);
         let actions = self.recorders[idx].restart(now);
-        self.apply_recorder(now, idx, actions);
+        self.apply_tier(now, idx, actions);
         self.rejoining.push((idx, now));
-        self.refresh_required();
-    }
-
-    /// Crashes a process (detected fault).
-    pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
-        let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            let actions = k.crash_process(now, pid.local, reason);
-            self.apply_kernel(now, pid.node.0, actions);
-        }
-    }
-
-    /// Crashes a node; the responsible recorder restarts it.
-    pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
-            k.crash_node();
-            self.lan.set_station_up(StationId(node), false);
-        }
-    }
-
-    /// Deduplicated outputs of one process.
-    pub fn outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        let mut by_seq: BTreeMap<u64, &OutputLine> = BTreeMap::new();
-        for o in self.outputs.iter().filter(|o| o.pid == pid) {
-            by_seq.entry(o.seq).or_insert(o);
-        }
-        by_seq
-            .values()
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
+        refresh_required(self);
     }
 }

@@ -170,13 +170,8 @@ impl NodeUnit {
 
     /// A digest of the node's complete state (for equivalence checks).
     pub fn state_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
+        let mut h = publishing_sim::fnv::FNV_OFFSET;
+        let mut fold = |v: u64| h = publishing_sim::fnv::fingerprint_fold(h, &v.to_le_bytes());
         for p in &self.procs {
             fold(p.state);
             for &m in &p.inbox {

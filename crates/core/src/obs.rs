@@ -1,11 +1,11 @@
 //! Observability collection: projecting component instruments into the
 //! `publishing-obs` registry/probe model.
 //!
-//! The world drivers (single-recorder [`crate::World`], sharded tier in
-//! `publishing-shard`) own every component and therefore are the only
-//! places a whole-run picture can be assembled. This module keeps that
-//! assembly in one place so both drivers file the same metric paths and
-//! the `obs_report` artifact looks identical regardless of topology.
+//! The cluster driver ([`crate::Cluster`]) owns every component and is
+//! therefore the only place a whole-run picture can be assembled. This
+//! module keeps the per-component projections in one place so every
+//! recorder tier files the same metric paths and the `obs_report`
+//! artifact looks identical regardless of topology.
 //!
 //! Everything here is read-only over component state and derived from
 //! virtual time, so collecting a snapshot never perturbs a simulation:

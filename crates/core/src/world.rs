@@ -1,34 +1,18 @@
-//! The complete published-communications world: processing nodes, a
-//! recording node, and a broadcast medium, driven by one deterministic
-//! event loop — Figure 3.2 in executable form.
+//! The single-recorder world: processing nodes and one recording node
+//! on a broadcast medium — the paper's basic configuration (§3).
 
-use crate::node::{RNAction, RecorderConfig, RecorderNode};
+use crate::cluster::{Cluster, RecorderTier};
+use crate::node::{RecorderConfig, RecorderNode};
 use publishing_demos::costs::CostModel;
-use publishing_demos::harness::OutputLine;
 use publishing_demos::ids::{NodeId, ProcessId};
-use publishing_demos::kernel::{Kernel, KernelAction};
 use publishing_demos::link::Link;
 use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
 use publishing_demos::transport::TransportConfig;
 use publishing_net::bus::PerfectBus;
-use publishing_net::frame::{Frame, StationId};
-use publishing_net::lan::{Lan, LanAction, LanConfig};
-use publishing_sim::event::Scheduler;
+use publishing_net::lan::{Lan, LanConfig};
+use publishing_obs::probe::RecoveryLag;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
-
-/// World events.
-#[derive(Debug)]
-enum WEv {
-    LanTimer(u64),
-    KernelTimer(u32, u64),
-    RecorderTimer(u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
-}
 
 /// Builds a [`World`].
 pub struct WorldBuilder {
@@ -104,92 +88,66 @@ impl WorldBuilder {
 
     /// Builds the world and starts the recorder's watchdogs.
     pub fn build(self) -> World {
-        let recorder_node = NodeId(self.nodes);
-        let mut lan = self
+        let lan = self
             .lan
-            .unwrap_or_else(|| Box::new(PerfectBus::new(self.lan_cfg.clone())));
-        let mut kernels = BTreeMap::new();
-        for n in 0..self.nodes {
-            let mut k = Kernel::new(
-                NodeId(n),
-                self.registry.clone(),
-                self.costs.clone(),
-                self.transport.clone(),
-                self.publishing,
-            );
-            k.set_recorder(recorder_node);
-            lan.attach(k.station());
-            kernels.insert(n, k);
-        }
-        let recorder = RecorderNode::new(recorder_node, self.recorder_cfg);
-        lan.attach(recorder.station());
-        if self.publishing {
-            lan.set_required_recorders(vec![recorder.station()]);
-        }
-        let mut world = World {
-            sched: Scheduler::new(),
-            lan,
-            kernels,
-            recorder,
-            outputs: Vec::new(),
+            .unwrap_or_else(|| Box::new(PerfectBus::new(self.lan_cfg)));
+        let tier = SingleTier {
+            recorder: RecorderNode::new(NodeId(self.nodes), self.recorder_cfg),
             publishing: self.publishing,
-            crashes: Vec::new(),
-            recovered: BTreeMap::new(),
         };
-        let nodes: Vec<NodeId> = (0..self.nodes).map(NodeId).collect();
-        let actions = world.recorder.start(SimTime::ZERO, &nodes);
-        world.apply_recorder(SimTime::ZERO, actions);
-        world
+        Cluster::with_tier(
+            self.nodes,
+            self.registry,
+            self.costs,
+            self.transport,
+            self.publishing,
+            lan,
+            tier,
+        )
+    }
+}
+
+/// The recording tier of a [`World`]: one recorder node.
+pub struct SingleTier {
+    /// The recording node.
+    pub recorder: RecorderNode,
+    publishing: bool,
+}
+
+impl RecorderTier for SingleTier {
+    type Station = RecorderNode;
+
+    fn stations(&self) -> &[RecorderNode] {
+        std::slice::from_ref(&self.recorder)
+    }
+
+    fn stations_mut(&mut self) -> &mut [RecorderNode] {
+        std::slice::from_mut(&mut self.recorder)
+    }
+
+    fn gate(c: &mut World) {
+        if c.publishing {
+            c.require_stations([0]);
+        }
+    }
+
+    fn restart_node(c: &mut World, now: SimTime, idx: usize, node: NodeId, incarnation: u32) {
+        c.restart_node(now, idx, node, incarnation, false);
+    }
+
+    fn metric_prefix(_idx: usize) -> String {
+        "recorder".into()
+    }
+
+    fn recovery_lags(c: &World, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        crate::obs::recovery_lags(c.recorder.recorder(), c.now(), suppressed)
     }
 }
 
 /// The running world.
-pub struct World {
-    sched: Scheduler<WEv>,
-    /// The shared medium.
-    pub lan: Box<dyn Lan>,
-    /// Processing-node kernels by node id.
-    pub kernels: BTreeMap<u32, Kernel>,
-    /// The recording node.
-    pub recorder: RecorderNode,
-    /// All process outputs, in emission order (including replayed
-    /// duplicates; use [`World::outputs_of`] for the deduplicated view).
-    pub outputs: Vec<OutputLine>,
-    publishing: bool,
-    /// Virtual instants of injected crashes, in injection order.
-    crashes: Vec<SimTime>,
-    /// Packed pid → virtual instant its recovery committed.
-    recovered: BTreeMap<u64, SimTime>,
-}
+pub type World = Cluster<SingleTier>;
 
 impl World {
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    /// Spawns a program on a node with initial links.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] if the image is not registered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn spawn(
-        &mut self,
-        node: u32,
-        program: &str,
-        links: Vec<Link>,
-    ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
     /// Spawns a program marked unrecoverable (§6.6.1): the recorder
     /// publishes nothing for it and a crash is final.
     ///
@@ -206,206 +164,16 @@ impl World {
         program: &str,
         links: Vec<Link>,
     ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn_unrecoverable(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
-            match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::KernelTimer(node, token));
-                }
-                KernelAction::Output { pid, seq, bytes } => {
-                    self.outputs.push(OutputLine {
-                        at: now,
-                        pid,
-                        seq,
-                        bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_recorder(&mut self, now: SimTime, actions: Vec<RNAction>) {
-        for a in actions {
-            match a {
-                RNAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                RNAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::RecorderTimer(token));
-                }
-                RNAction::RestartNode { node, incarnation } => {
-                    // The §4.6 operator action: reboot the processor (or a
-                    // spare assuming its identity), then let the manager
-                    // proceed.
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
-                        k.restart_node(now, incarnation);
-                        self.lan.set_station_up(StationId(node.0), true);
-                    }
-                    let follow = self.recorder.confirm_node_restarted(now, node, incarnation);
-                    self.apply_recorder(now, follow);
-                }
-                RNAction::RecoveryDone { pid } => {
-                    self.recovered.insert(pid.as_u64(), now);
-                }
-            }
-        }
-    }
-
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        WEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
-        }
-    }
-
-    /// Processes one event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.sched.pop() else {
-            return false;
-        };
-        self.dispatch(now, ev);
-        true
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: WEv) {
-        match ev {
-            WEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
-            }
-            WEv::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
-            }
-            WEv::RecorderTimer(token) => {
-                let actions = self.recorder.on_timer(now, token);
-                self.apply_recorder(now, actions);
-            }
-            WEv::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to == self.recorder.node().0 {
-                    let actions = self.recorder.on_frame(now, &frame, recorder_ok);
-                    self.apply_recorder(now, actions);
-                } else if let Some(k) = self.kernels.get_mut(&to) {
-                    let actions = k.on_frame(now, &frame, recorder_ok);
-                    self.apply_kernel(now, to, actions);
-                }
-            }
-        }
-    }
-
-    /// Installs a fault clock: [`World::run_until_or_fault`] will pause
-    /// at each of its instants so a chaos driver can inject faults.
-    pub fn set_fault_clock(&mut self, clock: publishing_sim::event::FaultClock) {
-        self.sched.set_fault_clock(clock);
-    }
-
-    /// Runs until `deadline` or the next fault-clock instant, whichever
-    /// comes first. Returns `Some(t)` when paused at a fault instant
-    /// (the world's clock is at `t`; inject, then call again), `None`
-    /// once `deadline` is reached with no fault due before it.
-    pub fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        use publishing_sim::event::Tick;
-        loop {
-            let fault_due = self.sched.next_fault().map(|f| f <= deadline);
-            let event_due = self.sched.peek_time().map(|t| t <= deadline);
-            if fault_due != Some(true) && event_due != Some(true) {
-                if self.sched.now() < deadline {
-                    self.sched.advance_to(deadline);
-                }
-                return None;
-            }
-            match self.sched.pop_or_fault() {
-                Some(Tick::Fault(t)) => return Some(t),
-                Some(Tick::Event(now, ev)) => self.dispatch(now, ev),
-                None => return None,
-            }
-        }
-    }
-
-    /// Runs until `deadline` (watchdogs tick forever, so there is no
-    /// quiescence in a published world).
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.sched.now() < deadline
-            && self
-                .sched
-                .peek_time()
-                .map(|t| t >= deadline)
-                .unwrap_or(true)
-        {
-            self.sched.advance_to(deadline);
-        }
-    }
-
-    /// Crashes one process now (a detected fault, §3.3.2). The kernel
-    /// notifies the recovery manager, which recovers it transparently.
-    pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
-        let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            self.crashes.push(now);
-            let actions = k.crash_process(now, pid.local, reason);
-            self.apply_kernel(now, pid.node.0, actions);
-        }
-    }
-
-    /// Crashes a whole node now; the watchdog will notice and the manager
-    /// will restart and re-populate it.
-    pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
-            self.crashes.push(self.sched.now());
-            k.crash_node();
-            self.lan.set_station_up(StationId(node), false);
-        }
+        self.spawn_with(node, |k, now| k.spawn_unrecoverable(now, program, links))
     }
 
     /// Crashes the recorder now. All publishable traffic suspends
     /// (§3.3.4) until [`World::restart_recorder`].
     pub fn crash_recorder(&mut self) {
-        self.crashes.push(self.now());
+        self.record_crash();
         self.recorder.crash();
-        self.lan.set_station_up(self.recorder.station(), false);
+        let station = self.recorder.station();
+        self.lan.set_station_up(station, false);
         // The station stays in the required set: traffic is suspended,
         // not silently unpublished.
     }
@@ -414,217 +182,14 @@ impl World {
     /// queries.
     pub fn restart_recorder(&mut self) {
         let now = self.now();
-        self.lan.set_station_up(self.recorder.station(), true);
+        let station = self.recorder.station();
+        self.lan.set_station_up(station, true);
         let actions = self.recorder.restart(now);
-        self.apply_recorder(now, actions);
+        self.apply_tier(now, 0, actions);
     }
 
     /// Whether publishing is enabled.
     pub fn publishing(&self) -> bool {
         self.publishing
-    }
-
-    /// The deduplicated output lines of one process: exactly-once by
-    /// output sequence number, in sequence order — what a §6.4-style
-    /// idempotent console would print.
-    pub fn outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        let mut by_seq: BTreeMap<u64, &OutputLine> = BTreeMap::new();
-        for o in self.outputs.iter().filter(|o| o.pid == pid) {
-            by_seq.entry(o.seq).or_insert(o);
-        }
-        by_seq
-            .values()
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
-    /// The raw (possibly duplicated) output lines of one process.
-    pub fn raw_outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        self.outputs
-            .iter()
-            .filter(|o| o.pid == pid)
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
-    /// A fingerprint of every process's deduplicated output, for
-    /// equivalence oracles.
-    pub fn output_fingerprint(&self) -> u64 {
-        let mut per_pid: BTreeMap<ProcessId, BTreeMap<u64, &[u8]>> = BTreeMap::new();
-        for o in &self.outputs {
-            per_pid
-                .entry(o.pid)
-                .or_default()
-                .entry(o.seq)
-                .or_insert(&o.bytes);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (pid, lines) in per_pid {
-            for (seq, bytes) in lines {
-                for b in pid
-                    .as_u64()
-                    .to_le_bytes()
-                    .iter()
-                    .chain(seq.to_le_bytes().iter())
-                    .chain(bytes.iter())
-                {
-                    h ^= *b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
-        }
-        h
-    }
-
-    /// Every span log in the world, in deterministic order: kernels by
-    /// node id, then the recorder.
-    pub fn span_logs(&self) -> Vec<&publishing_obs::span::SpanLog> {
-        let mut logs: Vec<_> = self.kernels.values().map(|k| k.spans()).collect();
-        logs.push(self.recorder.recorder().spans());
-        logs
-    }
-
-    /// The happens-before DAG over every component's span log.
-    pub fn causal_graph(&self) -> publishing_obs::causal::CausalGraph {
-        publishing_obs::causal::CausalGraph::build(self.span_logs())
-    }
-
-    /// Virtual instants of every injected crash, in injection order.
-    pub fn crash_times(&self) -> &[SimTime] {
-        &self.crashes
-    }
-
-    /// Completed recoveries: packed pid → instant the manager committed.
-    pub fn recoveries_done(&self) -> &BTreeMap<u64, SimTime> {
-        &self.recovered
-    }
-
-    /// The measured crash→convergence window: first injected crash to
-    /// the last committed recovery. `None` until a recovery completes.
-    pub fn recovery_window(&self) -> Option<(SimTime, SimTime)> {
-        let crash = *self.crashes.first()?;
-        let converged = *self.recovered.values().max()?;
-        (converged >= crash).then_some((crash, converged))
-    }
-
-    /// Order-sensitive fingerprint over every span log — the run-level
-    /// determinism oracle for the lifecycle trace.
-    pub fn obs_fingerprint(&self) -> u64 {
-        publishing_obs::span::combined_fingerprint(self.span_logs())
-    }
-
-    /// Assembles per-message lifecycle spans from every component's log.
-    pub fn spans(
-        &self,
-    ) -> BTreeMap<publishing_obs::span::MsgKey, publishing_obs::span::MessageSpan> {
-        publishing_obs::span::assemble(self.span_logs())
-    }
-
-    /// Snapshots every component's instruments into one registry.
-    pub fn collect_metrics(&self) -> publishing_obs::registry::MetricsRegistry {
-        let now = self.now();
-        let mut reg = publishing_obs::registry::MetricsRegistry::new();
-        for k in self.kernels.values() {
-            crate::obs::kernel_metrics(&mut reg, k);
-        }
-        crate::obs::recorder_node_metrics(&mut reg, "recorder", &self.recorder, now);
-        publishing_obs::probe::MediumHealth::from_lan(self.lan.stats(), now)
-            .into_registry(&mut reg);
-        reg
-    }
-
-    /// Recovery-lag probes for every process the recorder knows about.
-    pub fn recovery_lags(&self) -> Vec<publishing_obs::probe::RecoveryLag> {
-        let suppressed = crate::obs::suppressed_by_sender(self.kernels.values().map(|k| k.spans()));
-        crate::obs::recovery_lags(self.recorder.recorder(), self.now(), &suppressed)
-    }
-
-    /// Builds the full observability report for the run so far.
-    pub fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let now = self.now();
-        let horizon = now.saturating_since(SimTime::ZERO);
-        let mut profile = publishing_obs::profile::TimeProfile::new();
-        let mut kernel_cpu = publishing_sim::time::SimDuration::ZERO;
-        for k in self.kernels.values() {
-            kernel_cpu += k.stats().cpu_used;
-        }
-        profile.charge("kernel_cpu", kernel_cpu);
-        profile.charge("publish_cpu", self.recorder.recorder().stats().cpu_used);
-        let store = self.recorder.recorder().store();
-        let mut disk_busy = publishing_sim::time::SimDuration::ZERO;
-        for i in 0..store.n_disks() {
-            disk_busy += store.disk_stats(i).busy.busy_time(now);
-        }
-        profile.charge("stable_store_io", disk_busy);
-        profile.charge("medium_busy", self.lan.stats().busy.busy_time(now));
-
-        let mut metrics = self.collect_metrics();
-        let mut recovery = self.recovery_lags();
-        let graph = (!self.recovered.is_empty()).then(|| self.causal_graph());
-        if let Some(g) = &graph {
-            for lag in &mut recovery {
-                let Some(&done) = self.recovered.get(&lag.subject) else {
-                    continue;
-                };
-                let Some(&crash) = self.crashes.iter().filter(|&&c| c <= done).max() else {
-                    continue;
-                };
-                lag.recovery_ms = done.saturating_since(crash).as_millis_f64();
-                lag.critical_path_ms = g
-                    .critical_path(crash, done, Some(lag.subject))
-                    .map(|p| p.total().as_millis_f64())
-                    .unwrap_or(lag.recovery_ms);
-            }
-        }
-        let critical_path = self
-            .recovery_window()
-            .and_then(|(crash, converged)| graph.as_ref()?.critical_path(crash, converged, None));
-        if let Some(cp) = &critical_path {
-            cp.into_registry(&mut metrics);
-        }
-
-        let spans = self.spans();
-        let logs = self.span_logs();
-        publishing_obs::report::ObsReport {
-            schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
-            at_ms: now.as_millis_f64(),
-            metrics,
-            recovery,
-            shards: Vec::new(),
-            medium: Some(publishing_obs::probe::MediumHealth::from_lan(
-                self.lan.stats(),
-                now,
-            )),
-            profile,
-            horizon,
-            latencies: publishing_obs::profile::stage_latencies(&spans),
-            sched: self.scheduler_probe(),
-            queue_depths: Some(self.recorder.recorder().stats().depth_hist.clone()),
-            spans_total: logs.iter().map(|l| l.total()).sum(),
-            span_fingerprint: self.obs_fingerprint(),
-            critical_path,
-            quorum: Vec::new(),
-            consensus: None,
-            watchdog: None,
-            workload: None,
-            utilization: Some(crate::obs::utilization_report(
-                self.kernels.values(),
-                [(0, self.recorder.recorder())],
-                self.lan.as_ref(),
-                now,
-            )),
-            whatif: None,
-            forensics: None,
-        }
-    }
-
-    /// Event-queue statistics of the world's scheduler.
-    pub fn scheduler_probe(&self) -> publishing_obs::probe::SchedulerProbe {
-        publishing_obs::probe::SchedulerProbe {
-            delivered: self.sched.delivered(),
-            scheduled: self.sched.scheduled(),
-            pending: self.sched.pending() as u64,
-            peak_pending: self.sched.peak_pending() as u64,
-        }
     }
 }

@@ -9,6 +9,7 @@
 use crate::ids::{Channel, ChannelSet, LinkId};
 use crate::program::{Ctx, Program, Received};
 use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::fnv::{fingerprint_fold, FNV_OFFSET};
 use publishing_sim::time::SimDuration;
 
 /// Echoes every message body back over the link passed with the request,
@@ -170,26 +171,18 @@ pub struct Forwarder {
     pub forwarded: u64,
 }
 
-impl Forwarder {
-    fn fold(&mut self, bytes: &[u8]) {
-        let mut h = if self.digest == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.digest
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.digest = h;
-    }
+/// Folds `bytes` into a running FNV-1a digest, where 0 means "nothing
+/// folded yet".
+fn digest_fold(digest: u64, bytes: &[u8]) -> u64 {
+    let h = if digest == 0 { FNV_OFFSET } else { digest };
+    fingerprint_fold(h, bytes)
 }
 
 impl Program for Forwarder {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Received) {
-        self.fold(&msg.body);
+        self.digest = digest_fold(self.digest, &msg.body);
         self.forwarded += 1;
         let _ = ctx.send(LinkId(0), msg.body);
     }
@@ -222,16 +215,7 @@ impl Program for DigestSink {
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Received) {
-        let mut h = if self.digest == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.digest
-        };
-        for &b in &msg.body {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.digest = h;
+        self.digest = digest_fold(self.digest, &msg.body);
         self.received += 1;
         ctx.output(format!("digest {} after {}", self.digest, self.received).into_bytes());
     }

@@ -8,8 +8,7 @@
 //!
 //! - [`span`]: structured lifecycle events keyed by message id, recorded
 //!   into bounded per-component logs whose running fingerprint is a
-//!   determinism oracle (same property as `publishing_sim::trace`, but
-//!   over typed events instead of free-form strings);
+//!   determinism oracle over typed lifecycle events;
 //! - [`causal`]: the happens-before DAG assembled from the span logs,
 //!   with three query surfaces (explain a message's causal chain,
 //!   attribute a recovery's critical path, pinpoint the first divergent

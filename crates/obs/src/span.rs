@@ -11,13 +11,14 @@
 //! `Send` and the live-thread runtime needs no locks. A world driver
 //! merges the logs into per-message [`MessageSpan`]s at report time.
 //!
-//! Determinism: like `publishing_sim::trace::Trace`, each log keeps a
+//! Determinism: each log keeps a
 //! running FNV-1a fingerprint over *every* event ever recorded — framed
 //! by a monotone sequence number so ring eviction cannot change it and
 //! adjacent events cannot alias. Two runs of the same seed must produce
 //! identical fingerprints; the test suites assert exactly that.
 
 use crate::store::{ColumnarStore, SampleSpec};
+use publishing_sim::fnv::fingerprint_fold;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -25,8 +26,7 @@ use std::collections::BTreeMap;
 /// are fingerprinted regardless).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+pub(crate) use publishing_sim::fnv::FNV_OFFSET;
 
 /// Folds one event into the running FNV-1a fingerprint. Every field is
 /// fixed-width and the monotone `seq` frames the event, so the hash is
@@ -34,7 +34,7 @@ const FNV_PRIME: u64 = 0x1000_0000_01b3;
 /// retains — the columnar store and the row-oriented reference log share
 /// this exact framing.
 pub(crate) fn fnv_fold_event(
-    mut h: u64,
+    h: u64,
     seq: u64,
     at: SimTime,
     key: MsgKey,
@@ -42,20 +42,13 @@ pub(crate) fn fnv_fold_event(
     subject: u64,
     aux: u64,
 ) -> u64 {
-    for b in seq
-        .to_le_bytes()
-        .iter()
-        .chain(at.as_nanos().to_le_bytes().iter())
-        .chain(key.sender.to_le_bytes().iter())
-        .chain(key.seq.to_le_bytes().iter())
-        .chain([stage as u8].iter())
-        .chain(subject.to_le_bytes().iter())
-        .chain(aux.to_le_bytes().iter())
-    {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let h = fingerprint_fold(h, &seq.to_le_bytes());
+    let h = fingerprint_fold(h, &at.as_nanos().to_le_bytes());
+    let h = fingerprint_fold(h, &key.sender.to_le_bytes());
+    let h = fingerprint_fold(h, &key.seq.to_le_bytes());
+    let h = fingerprint_fold(h, &[stage as u8]);
+    let h = fingerprint_fold(h, &subject.to_le_bytes());
+    fingerprint_fold(h, &aux.to_le_bytes())
 }
 
 /// Identifies one message across the whole system: the packed sender
@@ -384,19 +377,10 @@ pub fn assemble<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> BTreeMap<Msg
 /// fingerprint. Order-sensitive: callers must pass logs in a stable
 /// order (node id, then shard index).
 pub fn combined_fingerprint<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for log in logs {
-        for b in log
-            .total()
-            .to_le_bytes()
-            .iter()
-            .chain(log.fingerprint().to_le_bytes().iter())
-        {
-            h ^= *b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    logs.into_iter().fold(FNV_OFFSET, |h, log| {
+        let h = fingerprint_fold(h, &log.total().to_le_bytes());
+        fingerprint_fold(h, &log.fingerprint().to_le_bytes())
+    })
 }
 
 /// Checks the paper's replay invariant against one destination kernel's

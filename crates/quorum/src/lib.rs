@@ -39,4 +39,4 @@ pub mod world;
 
 pub use raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, RaftStats, ReplicaId, Role};
 pub use replica::{QAction, QuorumReplica, ReplicaConfig};
-pub use world::{QuorumConfig, QuorumWorld};
+pub use world::{QuorumConfig, QuorumTier, QuorumWorld};

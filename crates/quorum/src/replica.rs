@@ -14,6 +14,7 @@
 
 use crate::codec::{decode_exports, encode_exports};
 use crate::raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, ReplicaId, Role};
+use publishing_core::cluster::TierStation;
 use publishing_core::node::{RNAction, RecorderConfig, RecorderNode};
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
 use publishing_demos::transport::Wire;
@@ -32,34 +33,11 @@ const QUORUM_TOKEN_BIT: u64 = 1 << 63;
 /// The recurring consensus tick.
 const TICK_TOKEN: u64 = QUORUM_TOKEN_BIT;
 
-/// An action a [`QuorumReplica`] asks the world to perform (the quorum
-/// analogue of [`RNAction`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QAction {
-    /// Put a frame on the medium.
-    Transmit(Frame),
-    /// Call [`QuorumReplica::on_timer`] with `token` at `at`.
-    SetTimer {
-        /// Callback time.
-        at: SimTime,
-        /// Token to hand back.
-        token: u64,
-    },
-    /// Physically restart a crashed processing node, then call
-    /// [`QuorumReplica::confirm_node_restarted`] (leader arbitration is
-    /// the world's job, exactly as in the sharded tier).
-    RestartNode {
-        /// The node.
-        node: NodeId,
-        /// Its new incarnation.
-        incarnation: u32,
-    },
-    /// A process finished recovering.
-    RecoveryDone {
-        /// The process.
-        pid: ProcessId,
-    },
-}
+/// An action a [`QuorumReplica`] asks the cluster to perform: the
+/// recorder node's own action set, since a replica is a recorder node
+/// plus consensus. Node restarts are arbitrated by the tier (only the
+/// leader reboots processors).
+pub type QAction = RNAction;
 
 /// Configuration for one quorum replica.
 #[derive(Debug, Clone)]
@@ -244,21 +222,11 @@ impl QuorumReplica {
         &self.replication_lag
     }
 
-    /// Re-bounds the inner recorder's span ring (0 = fingerprint-only).
-    pub fn set_span_capacity(&mut self, capacity: usize) {
-        self.node.set_span_capacity(capacity);
-    }
-
-    /// Applies a disk-fault regime to the replica's store.
-    pub fn set_disk_faults(&mut self, faults: publishing_stable::disk::DiskFaults) {
-        self.node.set_disk_faults(faults);
-    }
-
     /// Begins operation: recorder watchdogs over `watch`, plus the
     /// consensus tick.
     pub fn start(&mut self, now: SimTime, watch: &[NodeId]) -> Vec<QAction> {
         let mut out = Vec::new();
-        Self::wrap(self.node.start(now, watch), &mut out);
+        out.extend(self.node.start(now, watch));
         let routs = self.raft.start(now);
         self.process(now, routs, &mut out);
         out.push(QAction::SetTimer {
@@ -266,19 +234,6 @@ impl QuorumReplica {
             token: TICK_TOKEN | self.tick_epoch,
         });
         out
-    }
-
-    fn wrap(actions: Vec<RNAction>, out: &mut Vec<QAction>) {
-        for a in actions {
-            out.push(match a {
-                RNAction::Transmit(frame) => QAction::Transmit(frame),
-                RNAction::SetTimer { at, token } => QAction::SetTimer { at, token },
-                RNAction::RestartNode { node, incarnation } => {
-                    QAction::RestartNode { node, incarnation }
-                }
-                RNAction::RecoveryDone { pid } => QAction::RecoveryDone { pid },
-            });
-        }
     }
 
     fn qframe(&self, to: ReplicaId, msg: &QMsg) -> Frame {
@@ -316,7 +271,7 @@ impl QuorumReplica {
                     if let Ok(exports) = decode_exports(&image) {
                         for export in exports {
                             let actions = self.node.import_process(now, export);
-                            Self::wrap(actions, out);
+                            out.extend(actions);
                         }
                     }
                     queue.extend(self.raft.snapshot_installed(leader, index, snap_term));
@@ -385,7 +340,7 @@ impl QuorumReplica {
                     }
                     self.acked_ids.remove(&msg.header.id);
                     let actions = self.node.apply_committed(now, seq, &msg);
-                    Self::wrap(actions, out);
+                    out.extend(actions);
                 }
             }
         }
@@ -474,7 +429,7 @@ impl QuorumReplica {
             }
         }
         let actions = self.node.on_frame(now, frame, recorder_ok);
-        Self::wrap(actions, &mut out);
+        out.extend(actions);
         // An observed ack may be proposable immediately.
         self.collect_acks();
         self.propose_ready(now, &mut out);
@@ -505,34 +460,11 @@ impl QuorumReplica {
             });
         } else {
             let actions = self.node.on_timer(now, token);
-            Self::wrap(actions, &mut out);
+            out.extend(actions);
             self.collect_acks();
             self.propose_ready(now, &mut out);
         }
         out
-    }
-
-    /// The world completed a node restart this replica requested (or the
-    /// leader ordered); resets transport numbering and recovers the
-    /// node's processes. `announce` must be true on exactly one replica.
-    pub fn confirm_node_restarted(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        incarnation: u32,
-        announce: bool,
-    ) -> Vec<QAction> {
-        let mut out = Vec::new();
-        let actions = self
-            .node
-            .confirm_node_restarted_with(now, node, incarnation, announce);
-        Self::wrap(actions, &mut out);
-        out
-    }
-
-    /// Declines a node restart another replica is responsible for.
-    pub fn decline_node_restart(&mut self, node: NodeId) {
-        self.node.decline_node_restart(node);
     }
 
     /// Crashes the replica: recorder volatile state is lost (battery
@@ -556,7 +488,7 @@ impl QuorumReplica {
     pub fn restart(&mut self, now: SimTime) -> Vec<QAction> {
         let mut out = Vec::new();
         self.up = true;
-        Self::wrap(self.node.restart(now), &mut out);
+        out.extend(self.node.restart(now));
         let routs = self.raft.restart(now);
         self.process(now, routs, &mut out);
         out.push(QAction::SetTimer {
@@ -564,5 +496,31 @@ impl QuorumReplica {
             token: TICK_TOKEN | self.tick_epoch,
         });
         out
+    }
+}
+
+impl TierStation for QuorumReplica {
+    fn start(&mut self, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
+        QuorumReplica::start(self, now, watch)
+    }
+
+    fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<RNAction> {
+        QuorumReplica::on_timer(self, now, token)
+    }
+
+    fn on_frame(&mut self, now: SimTime, frame: &Frame, recorder_ok: bool) -> Vec<RNAction> {
+        QuorumReplica::on_frame(self, now, frame, recorder_ok)
+    }
+
+    fn is_up(&self) -> bool {
+        self.up
+    }
+
+    fn recorder_node(&self) -> &RecorderNode {
+        &self.node
+    }
+
+    fn recorder_node_mut(&mut self) -> &mut RecorderNode {
+        &mut self.node
     }
 }

@@ -8,4 +8,4 @@ pub mod world;
 
 pub use map::{ShardId, ShardMap};
 pub use router::ShardRouter;
-pub use world::ShardedWorld;
+pub use world::{ShardTier, ShardedWorld};

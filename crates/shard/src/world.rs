@@ -1,11 +1,8 @@
-//! The sharded-tier driver: kernels + N recorder shards on one medium.
-//!
-//! `ShardedWorld` generalizes `publishing_core`'s single-recorder
-//! `World` and replicated `MultiWorld`: the published log and checkpoint
-//! store are *partitioned* across shards by the HRW [`ShardMap`], with
-//! R-way replication inside each pid's capture set. The driver wires
-//! the [`ShardRouter`] into the medium (per-frame ack ownership), into
-//! each shard's recorder (ownership filter) and recovery manager
+//! The sharded recorder tier: the published log and checkpoint store are
+//! *partitioned* across N recorder shards by the HRW [`ShardMap`], with
+//! R-way replication inside each pid's capture set. The tier wires the
+//! [`ShardRouter`] into the medium (per-frame ack ownership), into each
+//! shard's recorder (ownership filter) and recovery manager
 //! (responsibility filter), and implements the tier's orchestration:
 //!
 //! - **parallel recovery** — a crashed node's processes are recovered
@@ -23,59 +20,342 @@
 
 use crate::map::{ShardId, ShardMap};
 use crate::router::ShardRouter;
-use publishing_core::node::{RNAction, RecorderConfig, RecorderNode};
+use publishing_core::cluster::{Cluster, RecorderTier};
+use publishing_core::node::{RecorderConfig, RecorderNode};
 use publishing_demos::costs::CostModel;
-use publishing_demos::harness::OutputLine;
 use publishing_demos::ids::{Channel, MessageId, NodeId, ProcessId};
-use publishing_demos::kernel::{encode_ctl, Kernel, KernelAction};
-use publishing_demos::link::Link;
+use publishing_demos::kernel::encode_ctl;
 use publishing_demos::message::{Message, MessageHeader};
 use publishing_demos::protocol::{codes, ShardCutover};
-use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
+use publishing_demos::registry::ProgramRegistry;
 use publishing_demos::transport::{TransportConfig, Wire};
 use publishing_net::bus::PerfectBus;
 use publishing_net::frame::{Destination, Frame, StationId};
 use publishing_net::lan::{Lan, LanConfig};
+use publishing_obs::probe::{RecoveryLag, ShardHealth};
+use publishing_obs::registry::MetricsRegistry;
+use publishing_obs::report::ObsReport;
 use publishing_sim::codec::Encode;
-use publishing_sim::event::Scheduler;
 use publishing_sim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 
-#[derive(Debug)]
-enum SEv {
-    LanTimer(u64),
-    KernelTimer(u32, u64),
-    ShardTimer(usize, u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
-}
-
-/// A world whose recorder tier is sharded.
-pub struct ShardedWorld {
-    sched: Scheduler<SEv>,
-    /// The shared medium.
-    pub lan: Box<dyn Lan>,
-    /// Processing-node kernels.
-    pub kernels: BTreeMap<u32, Kernel>,
+/// The recording tier of a [`ShardedWorld`].
+pub struct ShardTier {
     /// The recorder shards; index i is [`ShardId`]`(i)`.
     pub shards: Vec<RecorderNode>,
     router: ShardRouter,
-    /// Raw outputs.
-    pub outputs: Vec<OutputLine>,
-    node_incarnations: BTreeMap<u32, u32>,
     /// Every pid ever spawned (rebalance bookkeeping).
     processes: BTreeSet<ProcessId>,
     /// Restarted shards catching up before being readmitted: (idx, since).
     rejoining: Vec<(usize, SimTime)>,
-    n_nodes: u32,
     cutovers_published: u64,
-    /// Virtual instants of injected crashes, in injection order.
-    crashes: Vec<SimTime>,
-    /// Packed pid → virtual instant its recovery committed.
-    recovered: BTreeMap<u64, SimTime>,
+}
+
+type Sharded = Cluster<ShardTier>;
+
+impl ShardTier {
+    /// Read access to the routing state.
+    pub fn router(&self) -> &ShardRouter {
+        &self.router
+    }
+
+    /// Number of shards ever admitted (live or not).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Cutover control messages published so far.
+    pub fn cutovers_published(&self) -> u64 {
+        self.cutovers_published
+    }
+
+    /// The shards (by index) that completed at least one recovery.
+    pub fn recovering_shards(&self) -> Vec<usize> {
+        (0..self.shards.len())
+            .filter(|&i| self.shards[i].manager().stats().completed.get() > 0)
+            .collect()
+    }
+
+    /// A recorder for shard `sid` on `node`, with the shard's ownership
+    /// and responsibility filters, registered with the router.
+    fn new_shard(&self, sid: ShardId, node: NodeId) -> RecorderNode {
+        let mut rn = RecorderNode::new(node, RecorderConfig::default());
+        rn.set_shard_filters(
+            Some(self.router.owner_filter(sid)),
+            Some(self.router.responsible_filter(sid)),
+        );
+        self.router.register(sid, rn.station());
+        rn
+    }
+
+    /// Capture sets and responsibility before a membership change.
+    #[allow(clippy::type_complexity)]
+    fn snapshot_placement(
+        &self,
+    ) -> (
+        BTreeMap<ProcessId, Vec<ShardId>>,
+        BTreeMap<ProcessId, ShardId>,
+    ) {
+        self.router.with_map(|m| {
+            let r = self.router.replication();
+            let caps = self
+                .processes
+                .iter()
+                .map(|&p| (p, m.capture_set(p, r)))
+                .collect();
+            let resp = self
+                .processes
+                .iter()
+                .filter_map(|&p| m.responsible(p).map(|s| (p, s)))
+                .collect();
+            (caps, resp)
+        })
+    }
+
+    fn health(&self, lan: &dyn Lan) -> Vec<ShardHealth> {
+        (0..self.shards.len())
+            .map(|i| {
+                let rn = &self.shards[i];
+                let rec = rn.recorder();
+                ShardHealth {
+                    shard: i as u32,
+                    live: rn.is_up(),
+                    catching_up: self.rejoining.iter().any(|(j, _)| *j == i),
+                    queue_depth: rec.pending_depth() as u64,
+                    known_processes: rec.known_pids().count() as u64,
+                    recoveries_in_flight: rn.manager().job_pids().len() as u64,
+                    replay_lag: publishing_core::obs::replay_lag(rec, rn.manager()),
+                    gating_stalls: lan.stats().blocked_at(rn.station()),
+                    published: rec.stats().published.get(),
+                }
+            })
+            .collect()
+    }
+}
+
+impl RecorderTier for ShardTier {
+    type Station = RecorderNode;
+
+    fn stations(&self) -> &[RecorderNode] {
+        &self.shards
+    }
+
+    fn stations_mut(&mut self) -> &mut [RecorderNode] {
+        &mut self.shards
+    }
+
+    fn gate(c: &mut Sharded) {
+        let router = c.router.recorder_router();
+        c.lan.set_recorder_router(Some(router));
+        refresh_required(c);
+    }
+
+    /// Generalized §6.3 arbitration: the shard owning the node's kernel
+    /// endpoint leads its restart; every live shard then recovers the
+    /// pids it is responsible for.
+    fn restart_node(c: &mut Sharded, now: SimTime, idx: usize, node: NodeId, _incarnation: u32) {
+        if c.router.restart_leader(node) != Some(ShardId(idx as u32)) {
+            c.shards[idx].decline_node_restart(node);
+            return;
+        }
+        let incarnation = c.next_incarnation(node);
+        c.restart_node(now, idx, node, incarnation, true);
+    }
+
+    /// Readmits rejoining shards once they have caught up (§6.3: natural
+    /// checkpointing brings a returning recorder up to date).
+    fn after_event(c: &mut Sharded, now: SimTime) {
+        if c.rejoining.is_empty() {
+            return;
+        }
+        let done: Vec<(usize, SimTime)> = c
+            .rejoining
+            .iter()
+            .copied()
+            .filter(|(i, since)| c.shards[*i].recorder().caught_up(*since))
+            .collect();
+        if !done.is_empty() {
+            c.rejoining
+                .retain(|(i, _)| !done.iter().any(|(j, _)| j == i));
+            for (i, _) in done {
+                change_membership(c, now, |m| m.set_live(ShardId(i as u32), true));
+            }
+        }
+    }
+
+    fn spawned(&mut self, pid: ProcessId) {
+        self.processes.insert(pid);
+    }
+
+    fn metric_prefix(idx: usize) -> String {
+        format!("shard/{idx}")
+    }
+
+    fn tier_metrics(c: &Sharded, reg: &mut MetricsRegistry) {
+        for h in c.health(c.lan.as_ref()) {
+            h.into_registry(reg);
+        }
+    }
+
+    /// One probe per process, read from the shard currently responsible
+    /// for it (capture-set replicas would repeat the same entry).
+    fn recovery_lags(c: &Sharded, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        let mut out = Vec::new();
+        for &pid in &c.processes {
+            let Some(sid) = c.router.with_map(|m| m.responsible(pid)) else {
+                continue;
+            };
+            let rec = c.shards[sid.0 as usize].recorder();
+            let mut lags = publishing_core::obs::recovery_lags(rec, c.now(), suppressed);
+            lags.retain(|l| l.subject == pid.as_u64());
+            out.extend(lags);
+        }
+        out
+    }
+
+    fn report(c: &Sharded, report: &mut ObsReport) {
+        report.shards = c.health(c.lan.as_ref());
+    }
+}
+
+/// The global fallback required set: every live, admitted shard. Only
+/// undecodable frames ever consult it; everything else goes through the
+/// per-frame router.
+fn refresh_required(c: &mut Sharded) {
+    let live: Vec<usize> = c
+        .router
+        .with_map(|m| m.live())
+        .iter()
+        .map(|s| s.0 as usize)
+        .collect();
+    c.require_stations(live);
+}
+
+/// Applies one membership change to the map (one atomic epoch bump every
+/// closure sees), then restores placement against the old one and
+/// publishes the cutover.
+fn change_membership(c: &mut Sharded, now: SimTime, change: impl FnOnce(&mut ShardMap)) {
+    let (caps, resp) = c.snapshot_placement();
+    c.router.with_map_mut(change);
+    refresh_required(c);
+    reconcile_placement(c, now, &caps, &resp);
+    publish_cutover(c, now);
+}
+
+/// After a map change: restore R-way replication by draining log
+/// segments into newly responsible capture-set members, release
+/// segments from members that dropped out, and have shards that
+/// inherited responsibility from a dead one query their new pids'
+/// states (a recovery that died with the old shard must restart).
+fn reconcile_placement(
+    c: &mut Sharded,
+    now: SimTime,
+    before_caps: &BTreeMap<ProcessId, Vec<ShardId>>,
+    before_resp: &BTreeMap<ProcessId, ShardId>,
+) {
+    let r = c.router.replication();
+    let mut queries: BTreeMap<usize, Vec<ProcessId>> = BTreeMap::new();
+    for (&pid, old_set) in before_caps {
+        let new_set = c.router.with_map(|m| m.capture_set(pid, r));
+        for &s in new_set.iter().filter(|s| !old_set.contains(s)) {
+            let tgt = s.0 as usize;
+            if !c.shards[tgt].is_up() {
+                continue;
+            }
+            // A readmitted shard kept capturing its pids while it was
+            // marked dead (its ownership filter counts itself), so its
+            // segment is already complete — don't re-drain.
+            if c.shards[tgt].recorder().entry(pid).is_some() {
+                continue;
+            }
+            let export = old_set.iter().find_map(|&o| {
+                let src = o.0 as usize;
+                if src != tgt && c.shards[src].is_up() {
+                    c.shards[src].export_process(pid)
+                } else {
+                    None
+                }
+            });
+            if let Some(export) = export {
+                let actions = c.shards[tgt].import_process(now, export);
+                c.apply_tier(now, tgt, actions);
+            }
+        }
+        for &s in old_set.iter().filter(|s| !new_set.contains(s)) {
+            let src = s.0 as usize;
+            if c.shards[src].is_up() {
+                let actions = c.shards[src].release_process(now, pid);
+                c.apply_tier(now, src, actions);
+            }
+        }
+        let new_resp = c.router.with_map(|m| m.responsible(pid));
+        if let (Some(&old_r), Some(new_r)) = (before_resp.get(&pid), new_resp) {
+            if old_r != new_r && !c.shards[old_r.0 as usize].is_up() {
+                queries.entry(new_r.0 as usize).or_default().push(pid);
+            }
+        }
+    }
+    for (idx, pids) in queries {
+        let actions = c.shards[idx].query_process_states(now, &pids);
+        c.apply_tier(now, idx, actions);
+    }
+}
+
+/// Publishes the new map epoch as a control message on the medium — the
+/// §4 publishing principle applied to the tier's own reconfiguration:
+/// the cutover is part of the recorded broadcast history, not a side
+/// channel.
+fn publish_cutover(c: &mut Sharded, now: SimTime) {
+    let (epoch, live_shards) = c.router.with_map(|m| (m.epoch(), m.live().len() as u32));
+    let Some(src_idx) = c.shards.iter().position(|s| s.is_up()) else {
+        return;
+    };
+    let src_node = c.shards[src_idx].node();
+    let body = encode_ctl(codes::SHARD_CUTOVER, &ShardCutover { epoch, live_shards });
+    c.cutovers_published += 1;
+    let seq = (epoch << 16) | c.cutovers_published;
+    let nodes: Vec<u32> = c.kernels.keys().copied().collect();
+    for n in nodes {
+        let msg = Message {
+            header: MessageHeader {
+                id: MessageId {
+                    sender: ProcessId::kernel_of(src_node),
+                    seq,
+                },
+                to: ProcessId::kernel_of(NodeId(n)),
+                code: 0,
+                channel: Channel::DEFAULT,
+                deliver_to_kernel: false,
+            },
+            passed_link: None,
+            body: body.clone(),
+        };
+        let wire = Wire::Datagram { src_node, msg };
+        let frame = Frame::new(
+            StationId(src_node.0),
+            Destination::Station(StationId(n)),
+            wire.encode_to_vec(),
+        );
+        c.transmit(now, frame);
+    }
+}
+
+/// A world whose recorder tier is sharded.
+pub struct ShardedWorld(Sharded);
+
+impl Deref for ShardedWorld {
+    type Target = Sharded;
+
+    fn deref(&self) -> &Sharded {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardedWorld {
+    fn deref_mut(&mut self) -> &mut Sharded {
+        &mut self.0
+    }
 }
 
 impl ShardedWorld {
@@ -117,452 +397,24 @@ impl ShardedWorld {
         nodes: u32,
         n_shards: usize,
         registry: ProgramRegistry,
-        mut lan: Box<dyn Lan>,
+        lan: Box<dyn Lan>,
         costs: CostModel,
         transport: TransportConfig,
     ) -> Self {
         let replication = 2.min(n_shards.max(1));
-        let router = ShardRouter::new(ShardMap::new(n_shards as u32), replication);
-        lan.set_recorder_router(Some(router.recorder_router()));
-        let shard_nodes: Vec<NodeId> = (0..n_shards as u32).map(|i| NodeId(nodes + i)).collect();
-        let mut kernels = BTreeMap::new();
-        for n in 0..nodes {
-            let mut k = Kernel::new(
-                NodeId(n),
-                registry.clone(),
-                costs.clone(),
-                transport.clone(),
-                true,
-            );
-            for r in &shard_nodes {
-                k.add_recorder(*r);
-            }
-            lan.attach(k.station());
-            kernels.insert(n, k);
-        }
-        let mut shards = Vec::new();
-        for (i, r) in shard_nodes.iter().enumerate() {
-            let sid = ShardId(i as u32);
-            let mut rn = RecorderNode::new(*r, RecorderConfig::default());
-            rn.set_shard_filters(
-                Some(router.owner_filter(sid)),
-                Some(router.responsible_filter(sid)),
-            );
-            router.register(sid, rn.station());
-            lan.attach(rn.station());
-            shards.push(rn);
-        }
-        let mut world = ShardedWorld {
-            sched: Scheduler::new(),
-            lan,
-            kernels,
-            shards,
-            router,
-            outputs: Vec::new(),
-            node_incarnations: BTreeMap::new(),
+        let mut tier = ShardTier {
+            shards: Vec::new(),
+            router: ShardRouter::new(ShardMap::new(n_shards as u32), replication),
             processes: BTreeSet::new(),
             rejoining: Vec::new(),
-            n_nodes: nodes,
             cutovers_published: 0,
-            crashes: Vec::new(),
-            recovered: BTreeMap::new(),
         };
-        world.refresh_required();
-        let watch: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-        for i in 0..world.shards.len() {
-            let actions = world.shards[i].start(SimTime::ZERO, &watch);
-            world.apply_shard(SimTime::ZERO, i, actions);
-        }
-        world
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    /// Read access to the routing state.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of shards ever admitted (live or not).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Cutover control messages published so far.
-    pub fn cutovers_published(&self) -> u64 {
-        self.cutovers_published
-    }
-
-    /// The global fallback required set: every live, admitted shard.
-    /// Only undecodable frames ever consult it; everything else goes
-    /// through the per-frame router.
-    fn refresh_required(&mut self) {
-        let live: Vec<StationId> = self
-            .router
-            .with_map(|m| m.live())
-            .iter()
-            .map(|s| self.shards[s.0 as usize].station())
+        tier.shards = (0..n_shards as u32)
+            .map(|i| tier.new_shard(ShardId(i), NodeId(nodes + i)))
             .collect();
-        if live.is_empty() {
-            let all: Vec<StationId> = self.shards.iter().map(|r| r.station()).collect();
-            self.lan.set_required_recorders(all);
-        } else {
-            self.lan.set_required_recorders(live);
-        }
-    }
-
-    /// Spawns a program on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] for unregistered images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn spawn(
-        &mut self,
-        node: u32,
-        program: &str,
-        links: Vec<Link>,
-    ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.processes.insert(pid);
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
-            match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, SEv::KernelTimer(node, token));
-                }
-                KernelAction::Output { pid, seq, bytes } => {
-                    self.outputs.push(OutputLine {
-                        at: now,
-                        pid,
-                        seq,
-                        bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_shard(&mut self, now: SimTime, idx: usize, actions: Vec<RNAction>) {
-        for a in actions {
-            match a {
-                RNAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                RNAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, SEv::ShardTimer(idx, token));
-                }
-                RNAction::RestartNode { node, .. } => {
-                    // Generalized §6.3 arbitration: the shard owning the
-                    // node's kernel endpoint leads its restart.
-                    if self.router.restart_leader(node) != Some(ShardId(idx as u32)) {
-                        self.shards[idx].decline_node_restart(node);
-                        continue;
-                    }
-                    let inc = self.node_incarnations.entry(node.0).or_insert(0);
-                    *inc += 1;
-                    let incarnation = *inc;
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
-                        k.restart_node(now, incarnation);
-                        self.lan.set_station_up(StationId(node.0), true);
-                    }
-                    // Fan the confirmation to every live shard: the
-                    // leader announces NODE_RESTARTED; the rest quietly
-                    // reset transport and recover the pids they are
-                    // responsible for — the parallel-replay fan-out.
-                    let live: Vec<usize> = (0..self.shards.len())
-                        .filter(|&j| self.shards[j].is_up())
-                        .collect();
-                    for j in live {
-                        let follow = self.shards[j].confirm_node_restarted_with(
-                            now,
-                            node,
-                            incarnation,
-                            j == idx,
-                        );
-                        self.apply_shard(now, j, follow);
-                    }
-                }
-                RNAction::RecoveryDone { pid } => {
-                    self.recovered.insert(pid.as_u64(), now);
-                }
-            }
-        }
-    }
-
-    fn apply_lan(&mut self, actions: Vec<publishing_net::lan::LanAction>) {
-        use publishing_net::lan::LanAction;
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        SEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, SEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
-        }
-    }
-
-    fn shard_index(&self, station: u32) -> Option<usize> {
-        self.shards.iter().position(|r| r.node().0 == station)
-    }
-
-    /// Processes one event.
-    pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.sched.pop() else {
-            return false;
-        };
-        self.dispatch(now, ev);
-        self.check_rejoining();
-        true
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: SEv) {
-        match ev {
-            SEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
-            }
-            SEv::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
-            }
-            SEv::ShardTimer(idx, token) => {
-                let actions = self.shards[idx].on_timer(now, token);
-                self.apply_shard(now, idx, actions);
-            }
-            SEv::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(&to) {
-                        let actions = k.on_frame(now, &frame, recorder_ok);
-                        self.apply_kernel(now, to, actions);
-                    }
-                } else if let Some(idx) = self.shard_index(to) {
-                    let actions = self.shards[idx].on_frame(now, &frame, recorder_ok);
-                    self.apply_shard(now, idx, actions);
-                }
-            }
-        }
-    }
-
-    /// Readmit rejoining shards once they have caught up (§6.3:
-    /// natural checkpointing brings a returning recorder up to date).
-    fn check_rejoining(&mut self) {
-        if !self.rejoining.is_empty() {
-            let done: Vec<(usize, SimTime)> = self
-                .rejoining
-                .iter()
-                .copied()
-                .filter(|(i, since)| self.shards[*i].recorder().caught_up(*since))
-                .collect();
-            if !done.is_empty() {
-                self.rejoining
-                    .retain(|(i, _)| !done.iter().any(|(j, _)| j == i));
-                let now = self.now();
-                for (i, _) in done {
-                    self.readmit_shard(now, i);
-                }
-            }
-        }
-    }
-
-    /// Runs until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Installs a fault clock: [`ShardedWorld::run_until_or_fault`]
-    /// pauses at each of its instants so a chaos driver can inject
-    /// faults.
-    pub fn set_fault_clock(&mut self, clock: publishing_sim::event::FaultClock) {
-        self.sched.set_fault_clock(clock);
-    }
-
-    /// Runs until `deadline` or the next fault-clock instant, whichever
-    /// comes first. Returns `Some(t)` when paused at a fault instant,
-    /// `None` once `deadline` is reached with no fault due before it.
-    pub fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        use publishing_sim::event::Tick;
-        loop {
-            let fault_due = self.sched.next_fault().map(|f| f <= deadline);
-            let event_due = self.sched.peek_time().map(|t| t <= deadline);
-            if fault_due != Some(true) && event_due != Some(true) {
-                return None;
-            }
-            match self.sched.pop_or_fault() {
-                Some(Tick::Fault(t)) => return Some(t),
-                Some(Tick::Event(now, ev)) => {
-                    self.dispatch(now, ev);
-                    self.check_rejoining();
-                }
-                None => return None,
-            }
-        }
-    }
-
-    /// Capture sets and responsibility before a membership change.
-    #[allow(clippy::type_complexity)]
-    fn snapshot_placement(
-        &self,
-    ) -> (
-        BTreeMap<ProcessId, Vec<ShardId>>,
-        BTreeMap<ProcessId, ShardId>,
-    ) {
-        self.router.with_map(|m| {
-            let r = self.router.replication();
-            let caps = self
-                .processes
-                .iter()
-                .map(|&p| (p, m.capture_set(p, r)))
-                .collect();
-            let resp = self
-                .processes
-                .iter()
-                .filter_map(|&p| m.responsible(p).map(|s| (p, s)))
-                .collect();
-            (caps, resp)
-        })
-    }
-
-    /// After a map change: restore R-way replication by draining log
-    /// segments into newly responsible capture-set members, release
-    /// segments from members that dropped out, and have shards that
-    /// inherited responsibility from a dead one query their new pids'
-    /// states (a recovery that died with the old shard must restart).
-    fn reconcile_placement(
-        &mut self,
-        now: SimTime,
-        before_caps: &BTreeMap<ProcessId, Vec<ShardId>>,
-        before_resp: &BTreeMap<ProcessId, ShardId>,
-    ) {
-        let r = self.router.replication();
-        let mut queries: BTreeMap<usize, Vec<ProcessId>> = BTreeMap::new();
-        for (&pid, old_set) in before_caps {
-            let new_set = self.router.with_map(|m| m.capture_set(pid, r));
-            for &s in new_set.iter().filter(|s| !old_set.contains(s)) {
-                let tgt = s.0 as usize;
-                if !self.shards[tgt].is_up() {
-                    continue;
-                }
-                // A readmitted shard kept capturing its pids while it
-                // was marked dead (its ownership filter counts itself),
-                // so its segment is already complete — don't re-drain.
-                if self.shards[tgt].recorder().entry(pid).is_some() {
-                    continue;
-                }
-                let export = old_set.iter().find_map(|&o| {
-                    let src = o.0 as usize;
-                    if src != tgt && self.shards[src].is_up() {
-                        self.shards[src].export_process(pid)
-                    } else {
-                        None
-                    }
-                });
-                if let Some(export) = export {
-                    let actions = self.shards[tgt].import_process(now, export);
-                    self.apply_shard(now, tgt, actions);
-                }
-            }
-            for &s in old_set.iter().filter(|s| !new_set.contains(s)) {
-                let src = s.0 as usize;
-                if self.shards[src].is_up() {
-                    let actions = self.shards[src].release_process(now, pid);
-                    self.apply_shard(now, src, actions);
-                }
-            }
-            let new_resp = self.router.with_map(|m| m.responsible(pid));
-            if let (Some(&old_r), Some(new_r)) = (before_resp.get(&pid), new_resp) {
-                if old_r != new_r && !self.shards[old_r.0 as usize].is_up() {
-                    queries.entry(new_r.0 as usize).or_default().push(pid);
-                }
-            }
-        }
-        for (idx, pids) in queries {
-            let actions = self.shards[idx].query_process_states(now, &pids);
-            self.apply_shard(now, idx, actions);
-        }
-    }
-
-    /// Publishes the new map epoch as a control message on the medium —
-    /// the §4 publishing principle applied to the tier's own
-    /// reconfiguration: the cutover is part of the recorded broadcast
-    /// history, not a side channel.
-    fn publish_cutover(&mut self, now: SimTime) {
-        let (epoch, live_shards) = self.router.with_map(|m| (m.epoch(), m.live().len() as u32));
-        let Some(src_idx) = self.shards.iter().position(|s| s.is_up()) else {
-            return;
-        };
-        let src_node = self.shards[src_idx].node();
-        let body = encode_ctl(codes::SHARD_CUTOVER, &ShardCutover { epoch, live_shards });
-        self.cutovers_published += 1;
-        let seq = (epoch << 16) | self.cutovers_published;
-        let nodes: Vec<u32> = self.kernels.keys().copied().collect();
-        for n in nodes {
-            let msg = Message {
-                header: MessageHeader {
-                    id: MessageId {
-                        sender: ProcessId::kernel_of(src_node),
-                        seq,
-                    },
-                    to: ProcessId::kernel_of(NodeId(n)),
-                    code: 0,
-                    channel: Channel::DEFAULT,
-                    deliver_to_kernel: false,
-                },
-                passed_link: None,
-                body: body.clone(),
-            };
-            let wire = Wire::Datagram { src_node, msg };
-            let frame = Frame::new(
-                StationId(src_node.0),
-                Destination::Station(StationId(n)),
-                wire.encode_to_vec(),
-            );
-            let actions = self.lan.submit(now, frame);
-            self.apply_lan(actions);
-        }
+        ShardedWorld(Cluster::with_tier(
+            nodes, registry, costs, transport, true, lan, tier,
+        ))
     }
 
     /// Crashes a shard. Its pids fail over to their next-ranked live
@@ -570,17 +422,12 @@ impl ShardedWorld {
     /// sets are re-replicated and inherited recoveries re-queried.
     pub fn crash_shard(&mut self, idx: usize) {
         let now = self.now();
-        self.crashes.push(now);
-        let (caps, resp) = self.snapshot_placement();
+        self.record_crash();
         self.shards[idx].crash();
         let st = self.shards[idx].station();
         self.lan.set_station_up(st, false);
         self.rejoining.retain(|(i, _)| *i != idx);
-        self.router
-            .with_map_mut(|m| m.set_live(ShardId(idx as u32), false));
-        self.refresh_required();
-        self.reconcile_placement(now, &caps, &resp);
-        self.publish_cutover(now);
+        change_membership(self, now, |m| m.set_live(ShardId(idx as u32), false));
     }
 
     /// Restarts a crashed shard. It rebuilds from its store, keeps
@@ -593,17 +440,8 @@ impl ShardedWorld {
         let st = self.shards[idx].station();
         self.lan.set_station_up(st, true);
         let actions = self.shards[idx].restart(now);
-        self.apply_shard(now, idx, actions);
+        self.apply_tier(now, idx, actions);
         self.rejoining.push((idx, now));
-    }
-
-    fn readmit_shard(&mut self, now: SimTime, idx: usize) {
-        let (caps, resp) = self.snapshot_placement();
-        self.router
-            .with_map_mut(|m| m.set_live(ShardId(idx as u32), true));
-        self.refresh_required();
-        self.reconcile_placement(now, &caps, &resp);
-        self.publish_cutover(now);
     }
 
     /// Admits a brand-new shard: drains the log segments of every pid
@@ -614,339 +452,30 @@ impl ShardedWorld {
         let now = self.now();
         let idx = self.shards.len();
         let sid = ShardId(idx as u32);
-        let node = NodeId(self.n_nodes + idx as u32);
-        let (caps, resp) = self.snapshot_placement();
-        let mut rn = RecorderNode::new(node, RecorderConfig::default());
-        rn.set_shard_filters(
-            Some(self.router.owner_filter(sid)),
-            Some(self.router.responsible_filter(sid)),
-        );
-        self.router.register(sid, rn.station());
+        let node = NodeId(self.node_count() + idx as u32);
+        let rn = self.new_shard(sid, node);
         self.lan.attach(rn.station());
         self.shards.push(rn);
         for k in self.kernels.values_mut() {
             k.add_recorder(node);
         }
-        let watch: Vec<NodeId> = (0..self.n_nodes).map(NodeId).collect();
-        let actions = self.shards[idx].start(now, &watch);
-        self.apply_shard(now, idx, actions);
-        // Cutover: membership change first (one atomic epoch bump every
-        // closure sees), then drain/release against the old placement.
-        self.router.with_map_mut(|m| m.add_shard(sid));
-        self.refresh_required();
-        self.reconcile_placement(now, &caps, &resp);
-        self.publish_cutover(now);
+        self.start_station(now, idx);
+        change_membership(self, now, |m| {
+            m.add_shard(sid);
+        });
         sid
     }
 
-    /// Crashes a process (detected fault).
-    pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
-        let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            self.crashes.push(now);
-            let actions = k.crash_process(now, pid.local, reason);
-            self.apply_kernel(now, pid.node.0, actions);
-        }
-    }
-
-    /// Crashes a node; the restart leader's watchdog will notice and
-    /// every responsible shard recovers its slice of the node's
-    /// processes in parallel.
-    pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
-            self.crashes.push(self.sched.now());
-            k.crash_node();
-            self.lan.set_station_up(StationId(node), false);
-        }
-    }
-
-    /// Deduplicated outputs of one process.
-    pub fn outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        let mut by_seq: BTreeMap<u64, &OutputLine> = BTreeMap::new();
-        for o in self.outputs.iter().filter(|o| o.pid == pid) {
-            by_seq.entry(o.seq).or_insert(o);
-        }
-        by_seq
-            .values()
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
-    /// A fingerprint of every process's deduplicated output, for
-    /// crash-free vs crashed-and-recovered equivalence checks.
-    pub fn output_fingerprint(&self) -> u64 {
-        let mut per_pid: BTreeMap<ProcessId, BTreeMap<u64, &[u8]>> = BTreeMap::new();
-        for o in &self.outputs {
-            per_pid
-                .entry(o.pid)
-                .or_default()
-                .entry(o.seq)
-                .or_insert(&o.bytes);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (pid, lines) in per_pid {
-            for (seq, bytes) in lines {
-                for b in pid
-                    .as_u64()
-                    .to_le_bytes()
-                    .iter()
-                    .chain(seq.to_le_bytes().iter())
-                    .chain(bytes.iter())
-                {
-                    h ^= *b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
-        }
-        h
-    }
-
-    /// Total completed recoveries across the tier.
-    pub fn recoveries_completed(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.manager().stats().completed.get())
-            .sum()
-    }
-
-    /// The shards (by index) that completed at least one recovery.
-    pub fn recovering_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&i| self.shards[i].manager().stats().completed.get() > 0)
-            .collect()
-    }
-
-    /// Every span log in the tier, in deterministic order: kernels by
-    /// node id, then shards by index.
-    pub fn span_logs(&self) -> Vec<&publishing_obs::span::SpanLog> {
-        let mut logs: Vec<_> = self.kernels.values().map(|k| k.spans()).collect();
-        logs.extend(self.shards.iter().map(|s| s.recorder().spans()));
-        logs
-    }
-
-    /// Order-sensitive fingerprint over every span log — the run-level
-    /// determinism oracle for the lifecycle trace.
-    pub fn obs_fingerprint(&self) -> u64 {
-        publishing_obs::span::combined_fingerprint(self.span_logs())
-    }
-
-    /// Caps every component span log (kernels and shard recorders) at
-    /// `capacity` retained events. `0` keeps fingerprints and totals
-    /// but retains nothing — the spans-disabled configuration of the
-    /// overhead benchmark.
-    pub fn set_span_capacity(&mut self, capacity: usize) {
-        for k in self.kernels.values_mut() {
-            k.set_span_capacity(capacity);
-        }
-        for s in &mut self.shards {
-            s.set_span_capacity(capacity);
-        }
-    }
-
-    /// The happens-before DAG over every component's span log.
-    pub fn causal_graph(&self) -> publishing_obs::causal::CausalGraph {
-        publishing_obs::causal::CausalGraph::build(self.span_logs())
-    }
-
-    /// Virtual instants of every injected crash, in injection order.
-    pub fn crash_times(&self) -> &[SimTime] {
-        &self.crashes
-    }
-
-    /// Completed recoveries: packed pid → instant the manager committed.
-    pub fn recoveries_done(&self) -> &BTreeMap<u64, SimTime> {
-        &self.recovered
-    }
-
-    /// The measured crash→convergence window: first injected crash to
-    /// the last committed recovery. `None` until a recovery completes.
-    pub fn recovery_window(&self) -> Option<(SimTime, SimTime)> {
-        let crash = *self.crashes.first()?;
-        let converged = *self.recovered.values().max()?;
-        (converged >= crash).then_some((crash, converged))
-    }
-
-    /// Assembles per-message lifecycle spans from every component's log.
-    pub fn spans(
-        &self,
-    ) -> BTreeMap<publishing_obs::span::MsgKey, publishing_obs::span::MessageSpan> {
-        publishing_obs::span::assemble(self.span_logs())
-    }
-
     /// Point-in-time health of every shard in the tier.
-    pub fn shard_health(&self) -> Vec<publishing_obs::probe::ShardHealth> {
-        (0..self.shards.len())
-            .map(|i| {
-                let rn = &self.shards[i];
-                let rec = rn.recorder();
-                publishing_obs::probe::ShardHealth {
-                    shard: i as u32,
-                    live: rn.is_up(),
-                    catching_up: self.rejoining.iter().any(|(j, _)| *j == i),
-                    queue_depth: rec.pending_depth() as u64,
-                    known_processes: rec.known_pids().count() as u64,
-                    recoveries_in_flight: rn.manager().job_pids().len() as u64,
-                    replay_lag: publishing_core::obs::replay_lag(rec, rn.manager()),
-                    gating_stalls: self.lan.stats().blocked_at(rn.station()),
-                    published: rec.stats().published.get(),
-                }
-            })
-            .collect()
-    }
-
-    /// Recovery-lag probes, one per process, read from the shard
-    /// currently responsible for it (capture-set replicas would repeat
-    /// the same entry).
-    pub fn recovery_lags(&self) -> Vec<publishing_obs::probe::RecoveryLag> {
-        let now = self.now();
-        let suppressed =
-            publishing_core::obs::suppressed_by_sender(self.kernels.values().map(|k| k.spans()));
-        let mut out = Vec::new();
-        for &pid in &self.processes {
-            let Some(sid) = self.router.with_map(|m| m.responsible(pid)) else {
-                continue;
-            };
-            let rec = self.shards[sid.0 as usize].recorder();
-            let mut lags = publishing_core::obs::recovery_lags(rec, now, &suppressed);
-            lags.retain(|l| l.subject == pid.as_u64());
-            out.extend(lags);
-        }
-        out
-    }
-
-    /// Snapshots every component's instruments into one registry.
-    pub fn collect_metrics(&self) -> publishing_obs::registry::MetricsRegistry {
-        let now = self.now();
-        let mut reg = publishing_obs::registry::MetricsRegistry::new();
-        for k in self.kernels.values() {
-            publishing_core::obs::kernel_metrics(&mut reg, k);
-        }
-        for (i, rn) in self.shards.iter().enumerate() {
-            publishing_core::obs::recorder_node_metrics(&mut reg, &format!("shard/{i}"), rn, now);
-        }
-        for h in self.shard_health() {
-            h.into_registry(&mut reg);
-        }
-        publishing_obs::probe::MediumHealth::from_lan(self.lan.stats(), now)
-            .into_registry(&mut reg);
-        reg
-    }
-
-    /// Builds the full observability report for the run so far.
-    pub fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let now = self.now();
-        let horizon = now.saturating_since(SimTime::ZERO);
-        let mut profile = publishing_obs::profile::TimeProfile::new();
-        let mut kernel_cpu = publishing_sim::time::SimDuration::ZERO;
-        for k in self.kernels.values() {
-            kernel_cpu += k.stats().cpu_used;
-        }
-        profile.charge("kernel_cpu", kernel_cpu);
-        let mut publish_cpu = publishing_sim::time::SimDuration::ZERO;
-        let mut disk_busy = publishing_sim::time::SimDuration::ZERO;
-        for rn in &self.shards {
-            publish_cpu += rn.recorder().stats().cpu_used;
-            let store = rn.recorder().store();
-            for i in 0..store.n_disks() {
-                disk_busy += store.disk_stats(i).busy.busy_time(now);
-            }
-        }
-        profile.charge("publish_cpu", publish_cpu);
-        profile.charge("stable_store_io", disk_busy);
-        profile.charge("medium_busy", self.lan.stats().busy.busy_time(now));
-
-        let mut metrics = self.collect_metrics();
-        let mut recovery = self.recovery_lags();
-        let graph = (!self.recovered.is_empty()).then(|| self.causal_graph());
-        if let Some(g) = &graph {
-            for lag in &mut recovery {
-                let Some(&done) = self.recovered.get(&lag.subject) else {
-                    continue;
-                };
-                let Some(&crash) = self.crashes.iter().filter(|&&c| c <= done).max() else {
-                    continue;
-                };
-                lag.recovery_ms = done.saturating_since(crash).as_millis_f64();
-                lag.critical_path_ms = g
-                    .critical_path(crash, done, Some(lag.subject))
-                    .map(|p| p.total().as_millis_f64())
-                    .unwrap_or(lag.recovery_ms);
-            }
-        }
-        let critical_path = self
-            .recovery_window()
-            .and_then(|(crash, converged)| graph.as_ref()?.critical_path(crash, converged, None));
-        if let Some(cp) = &critical_path {
-            cp.into_registry(&mut metrics);
-        }
-
-        let spans = self.spans();
-        let logs = self.span_logs();
-        publishing_obs::report::ObsReport {
-            schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
-            at_ms: now.as_millis_f64(),
-            metrics,
-            recovery,
-            shards: self.shard_health(),
-            medium: Some(publishing_obs::probe::MediumHealth::from_lan(
-                self.lan.stats(),
-                now,
-            )),
-            profile,
-            horizon,
-            latencies: publishing_obs::profile::stage_latencies(&spans),
-            sched: self.scheduler_probe(),
-            queue_depths: self.queue_depths(),
-            spans_total: logs.iter().map(|l| l.total()).sum(),
-            span_fingerprint: self.obs_fingerprint(),
-            critical_path,
-            quorum: Vec::new(),
-            consensus: None,
-            watchdog: None,
-            workload: None,
-            utilization: Some(publishing_core::obs::utilization_report(
-                self.kernels.values(),
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, rn)| (i as u32, rn.recorder())),
-                self.lan.as_ref(),
-                now,
-            )),
-            whatif: None,
-            forensics: None,
-        }
-    }
-
-    /// Event-queue statistics of the world's scheduler.
-    pub fn scheduler_probe(&self) -> publishing_obs::probe::SchedulerProbe {
-        publishing_obs::probe::SchedulerProbe {
-            delivered: self.sched.delivered(),
-            scheduled: self.sched.scheduled(),
-            pending: self.sched.pending() as u64,
-            peak_pending: self.sched.peak_pending() as u64,
-        }
-    }
-
-    /// Pending-buffer depth distribution merged across every shard's
-    /// recorder (all shards share the same binning).
-    pub fn queue_depths(&self) -> Option<publishing_sim::stats::LinearHistogram> {
-        let mut merged: Option<publishing_sim::stats::LinearHistogram> = None;
-        for rn in &self.shards {
-            let h = &rn.recorder().stats().depth_hist;
-            match &mut merged {
-                Some(m) => m.merge(h),
-                None => merged = Some(h.clone()),
-            }
-        }
-        merged
+    pub fn shard_health(&self) -> Vec<ShardHealth> {
+        self.health(self.lan.as_ref())
     }
 }
 
 impl core::fmt::Debug for ShardedWorld {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ShardedWorld")
-            .field("nodes", &self.n_nodes)
+            .field("nodes", &self.node_count())
             .field("shards", &self.shards.len())
             .field("router", &self.router)
             .finish()
@@ -956,6 +485,7 @@ impl core::fmt::Debug for ShardedWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use publishing_demos::link::Link;
     use publishing_demos::programs::{self, PingClient};
 
     fn registry() -> ProgramRegistry {

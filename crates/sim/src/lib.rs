@@ -13,8 +13,8 @@
 //!   utilization integrator behind Figure 5.5;
 //! - [`ledger`]: typed-resource busy timelines, queue-occupancy gauges,
 //!   and the binding-resource ranking behind the capacity lens;
-//! - [`trace`]: a bounded trace ring whose running fingerprint doubles as
-//!   the determinism oracle in the test suite;
+//! - [`fnv`]: the one FNV-1a hash behind every fingerprint and the
+//!   stable cell's record checksum;
 //! - [`fault`]: crash schedules and message-fault probabilities.
 //!
 //! Nothing here knows about networks, kernels, or recorders; those live in
@@ -26,11 +26,11 @@
 pub mod codec;
 pub mod event;
 pub mod fault;
+pub mod fnv;
 pub mod ledger;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use codec::{CodecError, Decode, Decoder, Encode, Encoder};
 pub use event::{EventId, Scheduler};
@@ -39,4 +39,3 @@ pub use ledger::{LevelGauge, ResourceKind, ResourceUsage, Timeline};
 pub use rng::DetRng;
 pub use stats::{Counter, LinearHistogram, LogHistogram, Summary, Utilization};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Category, Trace, TraceEvent};

@@ -20,6 +20,8 @@
 //! torn-write regime, truncates it to a prefix exactly like
 //! [`crate::disk::Disk::crash_tear_inflight`] does for disk pages.
 
+use publishing_sim::fnv::fnv1a;
+
 /// Two-slot atomic cell for a small durable value.
 #[derive(Debug, Clone, Default)]
 pub struct DurableCell {
@@ -31,15 +33,6 @@ pub struct DurableCell {
     last_written: Option<usize>,
     /// Writes torn by a crash (observability).
     torn: u64,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn encode_record(generation: u64, value: &[u8]) -> Vec<u8> {

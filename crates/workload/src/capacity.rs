@@ -160,15 +160,6 @@ impl Knee {
     }
 }
 
-/// Short name for a topology (report keys, table rows).
-pub fn topology_name(t: Topology) -> &'static str {
-    match t {
-        Topology::Single => "single",
-        Topology::Sharded => "sharded",
-        Topology::Quorum => "quorum",
-    }
-}
-
 fn scenario(topology: Topology, spec: &WorkloadSpec, medium: Medium, tuning: &Tuning) -> Scenario {
     let mut s = Scenario::new(topology, spec.seed);
     s.medium = medium;
@@ -306,18 +297,12 @@ pub fn run_trial_tuned(
 
 /// The seeded fault schedule validating the point at `users`.
 fn point_schedule(topology: Topology, spec: &WorkloadSpec) -> FaultSchedule {
-    use publishing_chaos::scenario::{REPLICAS, SHARDS};
+    let (shards, replicas) = topology.width();
     publishing_chaos::schedule::generate(&publishing_chaos::ChaosConfig {
         seed: spec.seed.wrapping_add(spec.users as u64),
         nodes: publishing_chaos::NODES,
-        shards: match topology {
-            Topology::Sharded => SHARDS,
-            _ => 0,
-        },
-        replicas: match topology {
-            Topology::Quorum => REPLICAS,
-            _ => 0,
-        },
+        shards,
+        replicas,
         procs: spec.generators() + spec.subjects,
         horizon_ms: spec.horizon_ms,
         max_faults: 3,
@@ -351,10 +336,7 @@ pub fn find_knee(
         let pass = t.pass;
         if params.verbose {
             if pass {
-                eprintln!(
-                    "knee[{shape}/{}] users={users}: PASS",
-                    topology_name(topology)
-                );
+                eprintln!("knee[{shape}/{}] users={users}: PASS", topology.name());
             } else {
                 // Name the clause that rejected the point — "the SLO
                 // failed" hides whether latency, recovery, or goodput
@@ -362,7 +344,7 @@ pub fn find_knee(
                 // the resource the ledger blames.
                 eprintln!(
                     "knee[{shape}/{}] users={users}: FAIL clause={} binding={} ({})",
-                    topology_name(topology),
+                    topology.name(),
                     t.rejected_by().join("+"),
                     t.binding.as_deref().unwrap_or("none"),
                     t.violations
